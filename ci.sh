@@ -94,8 +94,11 @@ cargo test -p greencell-sim --test frontier -q $CARGO_FLAGS
 echo "== city equivalence gate =="
 # The sharded city path (grid index + interference pruning + per-cluster
 # solves) must match the dense single-controller path bit-for-bit when the
-# cutoff is disabled, and pruning may only zero gains that sit below the
-# thermal noise floor (property-tested over random shadowed layouts).
+# cutoff is disabled — also when replaying the dense run's observations
+# under all four fault archetypes, in lockstep with the frozen oracle —
+# a pruned city under base-station outages must be worker-count
+# invariant, and pruning may only zero gains that sit below the thermal
+# noise floor (property-tested over random shadowed layouts).
 cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 

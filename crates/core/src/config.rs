@@ -130,7 +130,7 @@ pub struct ControllerConfig {
     pub w_max: Bandwidth,
     /// What to do when S4 stays infeasible after shedding (fault handling).
     pub degradation: DegradationPolicy,
-    /// Dynamic BS sleeping (the `bs_sleep` schedule stage); `None` keeps
+    /// Dynamic BS sleeping (the slot driver's sleep machine); `None` keeps
     /// every BS awake and the controller bit-identical to the paper.
     pub bs_sleep: Option<crate::netstate::SleepPolicy>,
     /// Inter-BS energy cooperation (the `energy_coop` energy stage);

@@ -1,34 +1,30 @@
-//! The per-slot control driver (problem P3, §IV-C).
+//! The dense per-slot controller (problem P3, §IV-C) and its public
+//! records.
 //!
-//! Since the pipeline refactor the controller is a *thin driver* over
-//! [`crate::pipeline`]: S1/S3/S4 run behind stage traits resolved once at
-//! construction, every per-slot buffer lives in the
-//! [`crate::pipeline::SlotContext`] arena, and the degradation ladder is a
-//! chain of [`crate::pipeline::FallbackStage`] rungs. The driver's job is
-//! sequencing, uniform timing/span emission at stage boundaries, and
-//! assembling the typed boundary records into a [`SlotReport`].
+//! [`Controller`] is the single-partition case of
+//! [`crate::pipeline::SlotDriver`], the one slot driver: S1/S3/S4 run
+//! behind stage traits resolved once at construction, every per-slot
+//! buffer lives in a retained arena, and the degradation ladder is a chain
+//! of [`crate::pipeline::FallbackStage`] rungs. What stays here is the
+//! public surface — reports, errors, timings, state capture — and the
+//! frozen pre-pipeline oracle [`Controller::step_reference`].
 
-use crate::pipeline::{
-    self, AllocationRecord, EnergyRecord, EnergyStage, FallbackCx, FallbackOutcome, FallbackStage,
-    ObservationRecord, RelayStage, RoutingRecord, ScheduleRecord, ScheduleStage, SlotContext,
-    StageClock,
-};
+use crate::pipeline::{self, EnergyStage, SlotDriver};
 use crate::{
-    dpp, greedy_schedule_with, resource_allocation, resource_allocation_into,
-    resource_allocation_masked_into, route_flows, route_flows_into, s1::S1Inputs,
+    dpp, greedy_schedule_with, resource_allocation, route_flows, s1::S1Inputs,
     sequential_fix_schedule_with, solve_energy_management, ControllerConfig, EnergyConfig,
     EnergyManagementError, EnergyManagementInput, NetworkState, S1Scratch, ScheduleOutcome,
     SchedulerKind, SlotObservation,
 };
-use greencell_energy::{Battery, NodeEnergyModel};
+use greencell_energy::Battery;
 use greencell_net::{Network, NodeId, SessionId};
 use greencell_phy::{packets_per_slot, potential_capacity, PhyConfig};
 use greencell_queue::{DataQueueBank, LinkQueueBank, PacketQueue};
-use greencell_trace::{names, NoopSink, Sink, Stage, TraceEvent};
-use greencell_units::{Energy, Packets, Power};
+use greencell_trace::{NoopSink, Sink};
+use greencell_units::{Energy, Packets};
 use std::error::Error;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Error from [`Controller::new`] or [`Controller::step`].
 #[derive(Debug, Clone, PartialEq)]
@@ -168,8 +164,8 @@ impl SlotReport {
 ///
 /// Kept on the controller (not in [`SlotReport`]) so slot reports stay
 /// comparable across runs: wall-clock is nondeterministic, decisions are
-/// not. S3 and S4 run inside the shedding retry loop, so their totals
-/// include any retries.
+/// not. S4 runs inside the shedding retry loop, so its total includes any
+/// retries, and S3's includes the link-service refresh after each shed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Time in S1 link scheduling (greedy or sequential-fix).
@@ -255,37 +251,15 @@ pub struct ControllerState {
 ///
 /// Owns the full network state — data queues `Q^s_i`, virtual link queues
 /// `G_ij`/`H_ij`, and batteries `x_i` — and advances it one slot per
-/// [`Controller::step`] given that slot's random observation. The actual
-/// stage logic lives in [`crate::pipeline`]: the config enums resolve to
-/// stage implementations at construction and the step method is a thin
-/// driver over them. See the crate-level example.
+/// [`Controller::step`] given that slot's random observation. The slot
+/// itself runs in [`crate::pipeline::SlotDriver`] with a single partition
+/// whose local ids are the global ids: the config enums resolve to stage
+/// implementations at construction, and the city-scale sharded controller
+/// runs the same driver over many partitions. See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct Controller {
-    net: Network,
-    phy: PhyConfig,
-    energy: EnergyConfig,
-    config: ControllerConfig,
-    batteries: Vec<Battery>,
-    data: DataQueueBank,
-    links: LinkQueueBank,
-    gamma_max: f64,
-    beta: f64,
     penalty_b: f64,
-    slot: u64,
-    timings: StageTimings,
-    // Slot-invariant per-node constants, hoisted out of the per-slot path
-    // (the energy configuration is immutable after construction).
-    max_powers: Vec<Power>,
-    models: Vec<NodeEnergyModel>,
-    grid_limits: Vec<Energy>,
-    is_bs: Vec<bool>,
-    // The resolved pipeline: stage objects looked up from the registry at
-    // construction, so the hot path carries no `match` on config enums.
-    schedule_stage: &'static dyn ScheduleStage,
-    relay_stage: &'static dyn RelayStage,
-    energy_stage: &'static dyn EnergyStage,
-    ladder: &'static [&'static dyn FallbackStage],
-    ctx: SlotContext,
+    driver: SlotDriver,
 }
 
 impl Controller {
@@ -314,72 +288,17 @@ impl Controller {
                 configured: energy.nodes.len(),
             });
         }
-        let destinations: Vec<NodeId> = net.sessions().iter().map(|s| s.destination()).collect();
-        let beta = dpp::beta(&config, &phy);
-        let gamma_max = dpp::gamma_max(&net, &energy);
         let penalty_b = dpp::penalty_constant_b(&net, &energy, &config, &phy);
-        let batteries = energy.nodes.iter().map(|n| n.battery).collect();
-        let max_powers = energy.nodes.iter().map(|n| n.max_power).collect();
-        let models = energy.nodes.iter().map(|n| n.energy_model).collect();
-        let grid_limits = energy.nodes.iter().map(|n| n.grid_limit).collect();
-        let is_bs: Vec<bool> = net
+        let is_bs = net
             .topology()
             .nodes()
             .iter()
             .map(|n| n.kind().is_base_station())
             .collect();
-        // An enabled dynamic policy swaps in its stage; otherwise the
-        // config enums resolve exactly as before.
-        let schedule_key = if config.bs_sleep.is_some() {
-            "bs_sleep"
-        } else {
-            config.scheduler.key()
-        };
-        let energy_key = if config.energy_coop.is_some() {
-            "energy_coop"
-        } else {
-            config.energy_policy.key()
-        };
-        let schedule_stage =
-            pipeline::schedule_stage(schedule_key).expect("built-in scheduler stage is registered");
-        let relay_stage =
-            pipeline::relay_stage(config.relay.key()).expect("built-in relay stage is registered");
-        let energy_stage =
-            pipeline::energy_stage(energy_key).expect("built-in energy stage is registered");
-        let ladder = pipeline::fallback_ladder(config.degradation);
-        let ctx = SlotContext {
-            net_state: Self::make_net_state(&config, &is_bs),
-            ..SlotContext::default()
-        };
-        Ok(Self {
-            data: DataQueueBank::new(nodes, &destinations),
-            links: LinkQueueBank::new(nodes, beta),
-            batteries,
-            net,
-            phy,
-            energy,
-            config,
-            gamma_max,
-            beta,
-            penalty_b,
-            slot: 0,
-            timings: StageTimings::default(),
-            max_powers,
-            models,
-            grid_limits,
-            is_bs,
-            schedule_stage,
-            relay_stage,
-            energy_stage,
-            ladder,
-            ctx,
-        })
-    }
-
-    /// Builds the slot context's [`NetworkState`] from the config's
-    /// dynamic-policy knobs (inert when both are `None`).
-    fn make_net_state(config: &ControllerConfig, is_bs: &[bool]) -> NetworkState {
-        NetworkState::new(is_bs, config.bs_sleep, config.energy_coop, config.scheduler)
+        let sessions = (0..net.session_count()).collect();
+        let mut driver = SlotDriver::new(phy, energy, config, is_bs, 1);
+        driver.add_partition(net, (0..nodes).collect(), sessions);
+        Ok(Self { penalty_b, driver })
     }
 
     /// The dynamic network state, when a dynamic-topology policy
@@ -387,25 +306,25 @@ impl Controller {
     /// static configuration.
     #[must_use]
     pub fn network_state(&self) -> Option<&NetworkState> {
-        self.ctx.net_state.dynamic().then_some(&self.ctx.net_state)
+        self.driver.network_state()
     }
 
     /// The network being controlled.
     #[must_use]
     pub fn network(&self) -> &Network {
-        &self.net
+        &self.driver.parts[0].net
     }
 
     /// The data queue bank `Q^s_i(t)`.
     #[must_use]
     pub fn data(&self) -> &DataQueueBank {
-        &self.data
+        &self.driver.parts[0].data
     }
 
     /// The virtual link queue bank `G_ij(t)` / `H_ij(t)`.
     #[must_use]
     pub fn links(&self) -> &LinkQueueBank {
-        &self.links
+        &self.driver.parts[0].links
     }
 
     /// Battery of node `i`.
@@ -415,7 +334,7 @@ impl Controller {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn battery(&self, i: NodeId) -> &Battery {
-        &self.batteries[i.index()]
+        &self.driver.batteries[i.index()]
     }
 
     /// Mutable battery of node `i`, for hardware fault injection (capacity
@@ -426,25 +345,25 @@ impl Controller {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn battery_mut(&mut self, i: NodeId) -> &mut Battery {
-        &mut self.batteries[i.index()]
+        &mut self.driver.batteries[i.index()]
     }
 
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &ControllerConfig {
-        &self.config
+        &self.driver.config
     }
 
     /// The scaling constant `β`.
     #[must_use]
     pub fn beta(&self) -> f64 {
-        self.beta
+        self.driver.beta
     }
 
     /// The shift constant `γ_max`.
     #[must_use]
     pub fn gamma_max(&self) -> f64 {
-        self.gamma_max
+        self.driver.gamma_max
     }
 
     /// Lemma 1's constant `B` — the `B/V` of Theorem 5's gap.
@@ -456,14 +375,14 @@ impl Controller {
     /// Cumulative wall-clock spent in each pipeline stage so far.
     #[must_use]
     pub fn stage_timings(&self) -> StageTimings {
-        self.timings
+        self.driver.timings
     }
 
     /// The next slot index [`Controller::step`] will run (0-based; equals
     /// the number of slots stepped so far).
     #[must_use]
     pub fn slot(&self) -> u64 {
-        self.slot
+        self.driver.slot
     }
 
     /// Captures every piece of state that evolves across slots — the queue
@@ -478,32 +397,28 @@ impl Controller {
     /// workspaces are warm or freshly defaulted.
     #[must_use]
     pub fn export_state(&self) -> ControllerState {
-        let ns = &self.ctx.net_state;
-        let dynamic = ns.dynamic();
+        let ns = &self.driver.ctx.net_state;
         let (awake, idle_slots, ramp_remaining) = ns.export_timers();
+        // Static runs persist no dynamic state.
+        fn kept<T: Clone>(dynamic: bool, v: &[T]) -> Vec<T> {
+            if dynamic {
+                v.to_vec()
+            } else {
+                Vec::new()
+            }
+        }
+        let dynamic = ns.dynamic();
         ControllerState {
-            slot: self.slot,
-            batteries: self.batteries.clone(),
-            data_queues: self.data.queues().to_vec(),
-            delivered: self.data.delivered_per_session().to_vec(),
-            phantom: self.data.phantom_per_session().to_vec(),
-            link_queues: self.links.queues().to_vec(),
-            awake: if dynamic { awake.to_vec() } else { Vec::new() },
-            idle_slots: if dynamic {
-                idle_slots.to_vec()
-            } else {
-                Vec::new()
-            },
-            ramp_remaining: if dynamic {
-                ramp_remaining.to_vec()
-            } else {
-                Vec::new()
-            },
-            association: if dynamic {
-                ns.association().to_vec()
-            } else {
-                Vec::new()
-            },
+            slot: self.driver.slot,
+            batteries: self.driver.batteries.clone(),
+            data_queues: self.data().queues().to_vec(),
+            delivered: self.data().delivered_per_session().to_vec(),
+            phantom: self.data().phantom_per_session().to_vec(),
+            link_queues: self.links().queues().to_vec(),
+            awake: kept(dynamic, awake),
+            idle_slots: kept(dynamic, idle_slots),
+            ramp_remaining: kept(dynamic, ramp_remaining),
+            association: kept(dynamic, ns.association()),
             sleep_transitions: ns.sleep_transitions(),
             wake_transitions: ns.wake_transitions(),
             transferred_kwh: ns.transferred_kwh(),
@@ -520,22 +435,21 @@ impl Controller {
     /// Panics if the state's dimensions disagree with this controller's
     /// network (battery count, queue-bank layouts).
     pub fn import_state(&mut self, state: &ControllerState) {
+        let d = &mut self.driver;
         assert_eq!(
             state.batteries.len(),
-            self.batteries.len(),
+            d.batteries.len(),
             "battery count mismatch"
         );
-        self.slot = state.slot;
-        self.batteries.clone_from(&state.batteries);
-        self.data
+        d.slot = state.slot;
+        d.batteries.clone_from(&state.batteries);
+        let part = &mut d.parts[0];
+        part.data
             .restore(&state.data_queues, &state.delivered, &state.phantom);
-        self.links.restore(&state.link_queues);
-        self.ctx = SlotContext {
-            net_state: Self::make_net_state(&self.config, &self.is_bs),
-            ..SlotContext::default()
-        };
+        part.links.restore(&state.link_queues);
+        d.reset_arena();
         if !state.awake.is_empty() {
-            self.ctx.net_state.restore(
+            d.ctx.net_state.restore(
                 &state.awake,
                 &state.idle_slots,
                 &state.ramp_remaining,
@@ -545,7 +459,7 @@ impl Controller {
                 state.transferred_kwh,
             );
         }
-        self.timings = StageTimings::default();
+        d.timings = StageTimings::default();
     }
 
     /// Swaps the S4 stage for any object registered through the
@@ -556,30 +470,25 @@ impl Controller {
     /// driver (timing, tracing, degradation ladder) without a config enum
     /// variant.
     pub fn set_energy_stage(&mut self, stage: &'static dyn EnergyStage) {
-        self.energy_stage = stage;
+        self.driver.energy_stage = stage;
     }
 
     /// The registry key of the S4 stage currently in force.
     #[must_use]
     pub fn energy_stage_key(&self) -> &'static str {
-        self.energy_stage.key()
+        self.driver.energy_stage.key()
     }
 
     /// The current Lyapunov function value `L(Θ(t))` given the shifted
     /// battery levels.
     fn lyapunov_value(&self, z: &[f64]) -> f64 {
-        greencell_queue::lyapunov_value(&self.data, &self.links, z)
+        greencell_queue::lyapunov_value(self.data(), self.links(), z)
     }
 
     /// The shifted battery level `z_i(t)` in kWh.
     #[must_use]
     pub fn shifted_level(&self, i: NodeId) -> f64 {
-        dpp::shifted_level(
-            self.batteries[i.index()].level(),
-            self.config.v,
-            self.gamma_max,
-            self.batteries[i.index()].discharge_limit(),
-        )
+        self.driver.shifted_level(i.index())
     }
 
     /// Runs one slot of the S1→S2→S3→S4 pipeline and advances all queues.
@@ -608,7 +517,8 @@ impl Controller {
     /// # Errors
     ///
     /// [`ControllerError::IdleDeficit`] if a node cannot source even its
-    /// fixed overhead energy (configuration inconsistency).
+    /// fixed overhead energy (configuration inconsistency). The aborted
+    /// slot advances no queue, battery or slot counter.
     ///
     /// # Panics
     ///
@@ -618,391 +528,7 @@ impl Controller {
         obs: &SlotObservation,
         sink: &mut dyn Sink,
     ) -> Result<SlotReport, ControllerError> {
-        let traced = sink.enabled();
-        let slot_start = traced.then(Instant::now);
-        let nodes = self.net.topology().len();
-        let sessions = self.net.session_count();
-        obs.validate(nodes, sessions, self.net.band_count());
-        let observation = ObservationRecord {
-            slot: self.slot,
-            nodes,
-            sessions,
-        };
-
-        // The resolved stages (Copy `&'static` refs, hoisted so the arena
-        // borrows below don't fight the borrow checker).
-        let schedule_stage = self.schedule_stage;
-        let relay_stage = self.relay_stage;
-        let energy_stage = self.energy_stage;
-        let ladder = self.ladder;
-
-        // The per-slot arena; taken out of `self` so `&self` helpers stay
-        // callable, restored before every non-aborting return.
-        let mut arena = std::mem::take(&mut self.ctx);
-        let SlotContext {
-            z,
-            traffic_budget,
-            routing_caps,
-            demand,
-            z_after,
-            link_service,
-            admission_triples,
-            admissions,
-            s1,
-            outcome,
-            s3,
-            flows,
-            s4,
-            energy,
-            net_state,
-        } = &mut arena;
-
-        // Dynamic network state: copy the fault mask in and feed the sleep
-        // machine its backlog signal. Entirely skipped (and bit-identically
-        // absent) when neither dynamic policy is enabled.
-        let dynamic = net_state.dynamic();
-        if dynamic {
-            net_state.begin_slot(&obs.node_available);
-            for i in 0..nodes {
-                net_state
-                    .set_node_backlog(i, self.data.node_backlog(NodeId::from_index(i)).count_f64());
-            }
-        }
-
-        // Shifted battery levels for this slot.
-        z.clear();
-        z.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
-
-        // Energy admission budget: what a node could source for *traffic*
-        // on top of its fixed overhead this slot.
-        traffic_budget.clear();
-        traffic_budget.extend((0..nodes).map(|i| {
-            let fixed = self.models[i].const_energy() + self.models[i].idle_energy();
-            let grid = if obs.grid_connected[i] {
-                self.grid_limits[i]
-            } else {
-                Energy::ZERO
-            };
-            (obs.renewable[i] + self.batteries[i].max_discharge_now() + grid - fixed)
-                .max(Energy::ZERO)
-        }));
-
-        // S1 — link scheduling (+ minimal powers) through the resolved
-        // stage, on the incremental warm-start kernel with reused buffers.
-        let s1_inputs = S1Inputs {
-            net: &self.net,
-            phy: &self.phy,
-            spectrum: &obs.spectrum,
-            links: &self.links,
-            max_powers: &self.max_powers,
-            energy_models: &self.models,
-            traffic_budget,
-            available: &obs.node_available,
-            slot: self.config.slot,
-            packet_size: self.config.packet_size,
-        };
-        let clock = StageClock::start();
-        schedule_stage.schedule(&s1_inputs, net_state, s1, outcome);
-        clock.stop(&mut self.timings.s1, self.slot, Stage::S1, traced, sink);
-
-        // S2 — source selection and admission control. A down source BS
-        // admits nothing (fault injection; the session waits the outage
-        // out rather than being handed to a farther BS mid-fault). A BS
-        // that chose to sleep is different: sessions re-associate, so
-        // source selection simply skips it (and skips mid-ramp BSs, which
-        // cannot serve yet either) — outaged BSs stay selectable so fault
-        // behaviour is unchanged by an inert sleep policy.
-        let clock = StageClock::start();
-        if dynamic {
-            let ns: &NetworkState = net_state;
-            resource_allocation_masked_into(
-                &self.net,
-                &self.data,
-                self.config.lambda,
-                self.config.v,
-                self.config.k_max,
-                &|b: NodeId| !ns.is_asleep(b.index()) && ns.ramp_remaining(b.index()) == 0,
-                admissions,
-            );
-        } else {
-            resource_allocation_into(
-                &self.net,
-                &self.data,
-                self.config.lambda,
-                self.config.v,
-                self.config.k_max,
-                admissions,
-            );
-        }
-        if dynamic {
-            // An outaged source BS admits nothing (the mask above already
-            // keeps sleeping/ramping BSs from being chosen at all).
-            let active = net_state.active();
-            admissions.retain(|a| active[a.source.index()]);
-        } else if !obs.node_available.is_empty() {
-            admissions.retain(|a| obs.is_node_available(a.source.index()));
-        }
-        clock.stop(&mut self.timings.s2, self.slot, Stage::S2, traced, sink);
-
-        // S3 + S4, with the fallback ladder in case S4 reports a deficit
-        // the worst-case precheck missed (or a fault made the observation
-        // inconsistent). The ladder is the resolved
-        // `pipeline::fallback_ladder` chain: graceful descends shed →
-        // grid-only → drop schedule → safe mode; strict aborts after
-        // shedding.
-        let mut shed = 0usize;
-        let mut degradation: Vec<DegradationEvent> = Vec::new();
-        // Routing capacity: every link that could ever carry traffic
-        // (common band at both ends, both endpoints up), capped at β
-        // packets per slot — the two-layer reading of constraint (25); see
-        // `s3` module docs.
-        let beta_cap = Packets::new(self.beta.floor() as u64);
-        let active_mask: Option<&[bool]> = if dynamic {
-            Some(net_state.active())
-        } else {
-            None
-        };
-        routing_caps.clear();
-        routing_caps.extend(
-            self.net
-                .topology()
-                .ordered_pairs()
-                .filter(|&(i, j)| !self.net.link_bands(i, j).is_empty())
-                .filter(|&(i, j)| match active_mask {
-                    Some(active) => active[i.index()] && active[j.index()],
-                    None => obs.is_node_available(i.index()) && obs.is_node_available(j.index()),
-                })
-                .filter(|&(i, _)| relay_stage.may_relay(&self.net, i))
-                .map(|(i, j)| (i, j, beta_cap)),
-        );
-
-        loop {
-            let clock = StageClock::start();
-            self.link_service_into(outcome, &obs.spectrum, link_service);
-            route_flows_into(
-                &self.net,
-                &self.data,
-                &self.links,
-                routing_caps,
-                admissions,
-                &obs.session_demand,
-                s3,
-                flows,
-            );
-            clock.stop(&mut self.timings.s3, self.slot, Stage::S3, traced, sink);
-            demand.clear();
-            demand.extend((0..nodes).map(|i| {
-                let node = NodeId::from_index(i);
-                let tx_power = outcome.schedule.transmission_from(node).and_then(|t| {
-                    outcome
-                        .schedule
-                        .transmissions()
-                        .iter()
-                        .position(|u| u == t)
-                        .map(|k| outcome.powers[k])
-                });
-                let receiving = outcome.schedule.transmission_to(node).is_some();
-                self.models[i].slot_demand(tx_power, receiving, self.config.slot)
-            }));
-            // Sleep-policy demand override: an asleep BS draws only its
-            // sleep power, a ramping BS its ramp power. Outage-forced-awake
-            // BSs take the normal path (identical to the static pipeline).
-            if let Some(sp) = self.config.bs_sleep {
-                for (i, d) in demand.iter_mut().enumerate() {
-                    if !self.is_bs[i] {
-                        continue;
-                    }
-                    if net_state.is_asleep(i) {
-                        *d = sp.sleep_power * self.config.slot;
-                    } else if net_state.ramp_remaining(i) > 0 {
-                        *d = sp.ramp_power * self.config.slot;
-                    }
-                }
-            }
-            // Time-of-use pricing: this slot the provider pays
-            // `m·f(P)`, which for the quadratic f is exactly the scaled
-            // quadratic — S4's exactness is preserved.
-            let scaled_cost = dpp::scaled_cost(&self.energy.cost, obs.price_multiplier);
-            let input = EnergyManagementInput {
-                z,
-                demand,
-                renewable: &obs.renewable,
-                batteries: &self.batteries,
-                grid_connected: &obs.grid_connected,
-                grid_limits: &self.grid_limits,
-                is_base_station: &self.is_bs,
-                cost: &scaled_cost,
-                v: self.config.v,
-            };
-            let clock = StageClock::start();
-            let solved = energy_stage.solve(&input, net_state, s4, energy);
-            clock.stop(&mut self.timings.s4, self.slot, Stage::S4, traced, sink);
-            match solved {
-                Ok(()) => break,
-                Err(err) => {
-                    #[cfg(feature = "shed-debug")]
-                    eprintln!("slot {}: S4 error {err:?}", self.slot);
-                    let mut cx = FallbackCx {
-                        net: &self.net,
-                        phy: &self.phy,
-                        spectrum: &obs.spectrum,
-                        max_powers: &self.max_powers,
-                        nodes,
-                        sessions,
-                        slot: self.slot,
-                        input: &input,
-                        outcome,
-                        admissions,
-                        link_service,
-                        flows,
-                        energy,
-                        degradation: &mut degradation,
-                        shed: &mut shed,
-                        traced,
-                        sink: &mut *sink,
-                    };
-                    let mut decision = FallbackOutcome::Pass;
-                    for rung in ladder {
-                        decision = rung.attempt(&err, &mut cx);
-                        if decision != FallbackOutcome::Pass {
-                            break;
-                        }
-                    }
-                    match decision {
-                        FallbackOutcome::Retry => continue,
-                        FallbackOutcome::Resolved => break,
-                        FallbackOutcome::Pass | FallbackOutcome::Abort => {
-                            // Aborting run: the default-initialized arena
-                            // left in `self` is fine (only capacity is
-                            // lost).
-                            return Err(err.into());
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drift-plus-penalty diagnostics for the chosen actions, computed
-        // against the *pre-update* queue state (as in Lemma 1).
-        let lyapunov_before = self.lyapunov_value(z);
-        let psi1 = dpp::psi1(
-            self.beta,
-            link_service
-                .iter()
-                .map(|&(i, j, pkts)| self.links.h(i, j) * pkts.count_f64()),
-        );
-        let psi2 = dpp::psi2(
-            admissions.iter().map(|a| {
-                (
-                    self.data.backlog(a.source, a.session).count_f64(),
-                    a.packets.count_f64(),
-                )
-            }),
-            self.config.lambda,
-            self.config.v,
-        );
-        let psi3 = dpp::psi3(flows.iter_nonzero().map(|(s, i, j, l)| {
-            let coeff = -self.data.backlog(i, s).count_f64()
-                + self.data.backlog(j, s).count_f64()
-                + self.beta * self.links.h(i, j);
-            (coeff, l.count_f64())
-        }));
-
-        // Advance state: queues by their laws, batteries by the decisions.
-        let advance_start = traced.then(Instant::now);
-        admission_triples.clear();
-        admission_triples.extend(
-            admissions
-                .iter()
-                .filter(|a| a.packets > Packets::ZERO)
-                .map(|a| (a.session, a.source, a.packets)),
-        );
-        let schedule = ScheduleRecord {
-            scheduled_links: outcome.schedule.len(),
-        };
-        let allocation = AllocationRecord {
-            admitted: admission_triples.iter().map(|(_, _, k)| *k).sum(),
-        };
-        let routing = RoutingRecord {
-            routed: flows.total(),
-        };
-        self.data.advance(flows, admission_triples);
-        self.links.advance(flows, link_service);
-        for (battery, decision) in self.batteries.iter_mut().zip(&energy.decisions) {
-            decision
-                .apply_to_battery(battery)
-                .expect("validated decision must apply");
-        }
-        z_after.clear();
-        z_after.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
-        let lyapunov_after = self.lyapunov_value(z_after);
-        if let Some(start) = advance_start {
-            sink.record(TraceEvent::span_ended(
-                self.slot,
-                Stage::Advance,
-                sink.now_nanos(),
-                start.elapsed(),
-            ));
-        }
-        let energy_record = EnergyRecord {
-            cost: energy.cost,
-            grid_draw: energy.grid_draw,
-            objective: energy.objective,
-        };
-
-        let report = SlotReport {
-            slot: observation.slot,
-            cost: energy_record.cost,
-            grid_draw: energy_record.grid_draw,
-            scheduled_links: schedule.scheduled_links,
-            admitted: allocation.admitted,
-            routed: routing.routed,
-            psi1,
-            psi2,
-            psi3,
-            psi4: energy_record.objective,
-            lyapunov_before,
-            lyapunov_after,
-            shed_transmissions: shed,
-            degradation,
-        };
-        if traced {
-            let slot = self.slot;
-            for (name, value) in [
-                ("psi1", report.psi1),
-                ("psi2", report.psi2),
-                ("psi3", report.psi3),
-                ("psi4", report.psi4),
-                (names::DRIFT, report.lyapunov_after - report.lyapunov_before),
-                (
-                    names::PENALTY,
-                    self.config.v
-                        * (report.cost - self.config.lambda * report.admitted.count_f64()),
-                ),
-            ] {
-                sink.record(TraceEvent::Gauge { slot, name, value });
-            }
-            for (name, value) in [
-                ("scheduled_links", report.scheduled_links as u64),
-                ("admitted", report.admitted.count()),
-                ("routed", report.routed.count()),
-                ("shed", report.shed_transmissions as u64),
-            ] {
-                sink.record(TraceEvent::Counter { slot, name, value });
-            }
-            if let Some(start) = slot_start {
-                sink.record(TraceEvent::span_ended(
-                    slot,
-                    Stage::Slot,
-                    sink.now_nanos(),
-                    start.elapsed(),
-                ));
-            }
-        }
-        self.slot += 1;
-        self.timings.slots += 1;
-        self.ctx = arena;
-        Ok(report)
+        self.driver.step(obs, sink)
     }
 
     /// The pre-refactor monolithic step, frozen as an equivalence oracle
@@ -1013,8 +539,12 @@ impl Controller {
     /// and `prop_pipeline_config` tests; not part of the public API.
     #[doc(hidden)]
     pub fn step_reference(&mut self, obs: &SlotObservation) -> Result<SlotReport, ControllerError> {
-        let nodes = self.net.topology().len();
-        obs.validate(nodes, self.net.session_count(), self.net.band_count());
+        let nodes = self.driver.parts[0].net.topology().len();
+        obs.validate(
+            nodes,
+            self.driver.parts[0].net.session_count(),
+            self.driver.parts[0].net.band_count(),
+        );
 
         // Shifted battery levels for this slot.
         let z: Vec<f64> = (0..nodes)
@@ -1024,33 +554,34 @@ impl Controller {
         // Energy admission budget.
         let traffic_budget: Vec<Energy> = (0..nodes)
             .map(|i| {
-                let fixed = self.models[i].const_energy() + self.models[i].idle_energy();
+                let fixed =
+                    self.driver.models[i].const_energy() + self.driver.models[i].idle_energy();
                 let grid = if obs.grid_connected[i] {
-                    self.grid_limits[i]
+                    self.driver.grid_limits[i]
                 } else {
                     Energy::ZERO
                 };
-                (obs.renewable[i] + self.batteries[i].max_discharge_now() + grid - fixed)
+                (obs.renewable[i] + self.driver.batteries[i].max_discharge_now() + grid - fixed)
                     .max(Energy::ZERO)
             })
             .collect();
 
         // S1 — link scheduling (+ minimal powers).
         let s1_inputs = S1Inputs {
-            net: &self.net,
-            phy: &self.phy,
+            net: &self.driver.parts[0].net,
+            phy: &self.driver.phy,
             spectrum: &obs.spectrum,
-            links: &self.links,
-            max_powers: &self.max_powers,
-            energy_models: &self.models,
+            links: &self.driver.parts[0].links,
+            max_powers: &self.driver.max_powers,
+            energy_models: &self.driver.models,
             traffic_budget: &traffic_budget,
             available: &obs.node_available,
-            slot: self.config.slot,
-            packet_size: self.config.packet_size,
+            slot: self.driver.config.slot,
+            packet_size: self.driver.config.packet_size,
         };
         let mut s1_scratch = S1Scratch::default();
         let mut outcome = ScheduleOutcome::default();
-        match self.config.scheduler {
+        match self.driver.config.scheduler {
             SchedulerKind::Greedy => {
                 greedy_schedule_with(&s1_inputs, &mut s1_scratch, &mut outcome);
             }
@@ -1061,11 +592,11 @@ impl Controller {
 
         // S2 — source selection and admission control.
         let mut admissions = resource_allocation(
-            &self.net,
-            &self.data,
-            self.config.lambda,
-            self.config.v,
-            self.config.k_max,
+            &self.driver.parts[0].net,
+            &self.driver.parts[0].data,
+            self.driver.config.lambda,
+            self.driver.config.v,
+            self.driver.config.k_max,
         );
         if !obs.node_available.is_empty() {
             admissions.retain(|a| obs.is_node_available(a.source.index()));
@@ -1074,16 +605,21 @@ impl Controller {
         // S3 + S4 with the inline degradation ladder.
         let mut shed = 0usize;
         let mut degradation: Vec<DegradationEvent> = Vec::new();
-        let beta_cap = Packets::new(self.beta.floor() as u64);
-        let routing_caps: Vec<(NodeId, NodeId, Packets)> = self
+        let beta_cap = Packets::new(self.driver.beta.floor() as u64);
+        let routing_caps: Vec<(NodeId, NodeId, Packets)> = self.driver.parts[0]
             .net
             .topology()
             .ordered_pairs()
-            .filter(|&(i, j)| !self.net.link_bands(i, j).is_empty())
+            .filter(|&(i, j)| !self.driver.parts[0].net.link_bands(i, j).is_empty())
             .filter(|&(i, j)| obs.is_node_available(i.index()) && obs.is_node_available(j.index()))
-            .filter(|&(i, _)| match self.config.relay {
+            .filter(|&(i, _)| match self.driver.config.relay {
                 crate::RelayPolicy::MultiHop => true,
-                crate::RelayPolicy::OneHop => self.net.topology().node(i).kind().is_base_station(),
+                crate::RelayPolicy::OneHop => self.driver.parts[0]
+                    .net
+                    .topology()
+                    .node(i)
+                    .kind()
+                    .is_base_station(),
             })
             .map(|(i, j)| (i, j, beta_cap))
             .collect();
@@ -1092,9 +628,9 @@ impl Controller {
         let (flows, energy_outcome) = loop {
             self.link_service_into(&outcome, &obs.spectrum, &mut link_service);
             let flows = route_flows(
-                &self.net,
-                &self.data,
-                &self.links,
+                &self.driver.parts[0].net,
+                &self.driver.parts[0].data,
+                &self.driver.parts[0].links,
                 &routing_caps,
                 &admissions,
                 &obs.session_demand,
@@ -1111,26 +647,26 @@ impl Controller {
                             .map(|k| outcome.powers[k])
                     });
                     let receiving = outcome.schedule.transmission_to(node).is_some();
-                    self.models[i].slot_demand(tx_power, receiving, self.config.slot)
+                    self.driver.models[i].slot_demand(tx_power, receiving, self.driver.config.slot)
                 })
                 .collect();
             let scaled_cost = greencell_energy::QuadraticCost::new(
-                self.energy.cost.quadratic() * obs.price_multiplier,
-                self.energy.cost.linear() * obs.price_multiplier,
-                self.energy.cost.constant() * obs.price_multiplier,
+                self.driver.cost.quadratic() * obs.price_multiplier,
+                self.driver.cost.linear() * obs.price_multiplier,
+                self.driver.cost.constant() * obs.price_multiplier,
             );
             let input = EnergyManagementInput {
                 z: &z,
                 demand: &demand,
                 renewable: &obs.renewable,
-                batteries: &self.batteries,
+                batteries: &self.driver.batteries,
                 grid_connected: &obs.grid_connected,
-                grid_limits: &self.grid_limits,
-                is_base_station: &self.is_bs,
+                grid_limits: &self.driver.grid_limits,
+                is_base_station: &self.driver.is_bs,
                 cost: &scaled_cost,
-                v: self.config.v,
+                v: self.driver.config.v,
             };
-            let solved = match self.config.energy_policy {
+            let solved = match self.driver.config.energy_policy {
                 crate::EnergyPolicy::MarginalPrice => solve_energy_management(&input),
                 crate::EnergyPolicy::GridOnly => crate::solve_grid_only(&input),
             };
@@ -1148,12 +684,12 @@ impl Controller {
                         };
                         let before = outcome.schedule.len();
                         let reduced = pipeline::shed_node(
-                            &self.net,
+                            &self.driver.parts[0].net,
                             &outcome,
                             node,
                             &obs.spectrum,
-                            &self.phy,
-                            &self.max_powers,
+                            &self.driver.phy,
+                            &self.driver.max_powers,
                         );
                         let dropped = before - reduced.schedule.len();
                         if dropped > 0 {
@@ -1166,7 +702,7 @@ impl Controller {
                             continue;
                         }
                     }
-                    if self.config.degradation == crate::DegradationPolicy::Strict {
+                    if self.driver.config.degradation == crate::DegradationPolicy::Strict {
                         return Err(err.into());
                     }
                     // Rung 2 — the storage-oblivious grid-only solver.
@@ -1193,7 +729,10 @@ impl Controller {
                     admissions.clear();
                     link_service.clear();
                     break (
-                        greencell_queue::FlowPlan::new(nodes, self.net.session_count()),
+                        greencell_queue::FlowPlan::new(
+                            nodes,
+                            self.driver.parts[0].net.session_count(),
+                        ),
                         safe.outcome,
                     );
                 }
@@ -1203,25 +742,28 @@ impl Controller {
         // Drift-plus-penalty diagnostics.
         let lyapunov_before = self.lyapunov_value(&z);
         let psi1 = dpp::psi1(
-            self.beta,
+            self.driver.beta,
             link_service
                 .iter()
-                .map(|&(i, j, pkts)| self.links.h(i, j) * pkts.count_f64()),
+                .map(|&(i, j, pkts)| self.driver.parts[0].links.h(i, j) * pkts.count_f64()),
         );
         let psi2 = dpp::psi2(
             admissions.iter().map(|a| {
                 (
-                    self.data.backlog(a.source, a.session).count_f64(),
+                    self.driver.parts[0]
+                        .data
+                        .backlog(a.source, a.session)
+                        .count_f64(),
                     a.packets.count_f64(),
                 )
             }),
-            self.config.lambda,
-            self.config.v,
+            self.driver.config.lambda,
+            self.driver.config.v,
         );
         let psi3 = dpp::psi3(flows.iter_nonzero().map(|(s, i, j, l)| {
-            let coeff = -self.data.backlog(i, s).count_f64()
-                + self.data.backlog(j, s).count_f64()
-                + self.beta * self.links.h(i, j);
+            let coeff = -self.driver.parts[0].data.backlog(i, s).count_f64()
+                + self.driver.parts[0].data.backlog(j, s).count_f64()
+                + self.driver.beta * self.driver.parts[0].links.h(i, j);
             (coeff, l.count_f64())
         }));
 
@@ -1232,9 +774,16 @@ impl Controller {
             .map(|a| (a.session, a.source, a.packets))
             .collect();
         let routed = flows.total();
-        self.data.advance(&flows, &admission_triples);
-        self.links.advance(&flows, &link_service);
-        for (battery, decision) in self.batteries.iter_mut().zip(&energy_outcome.decisions) {
+        self.driver.parts[0]
+            .data
+            .advance(&flows, &admission_triples);
+        self.driver.parts[0].links.advance(&flows, &link_service);
+        for (battery, decision) in self
+            .driver
+            .batteries
+            .iter_mut()
+            .zip(&energy_outcome.decisions)
+        {
             decision
                 .apply_to_battery(battery)
                 .expect("validated decision must apply");
@@ -1245,7 +794,7 @@ impl Controller {
         let lyapunov_after = self.lyapunov_value(&z_after);
 
         let report = SlotReport {
-            slot: self.slot,
+            slot: self.driver.slot,
             cost: energy_outcome.cost,
             grid_draw: energy_outcome.grid_draw,
             scheduled_links: outcome.schedule.len(),
@@ -1260,7 +809,7 @@ impl Controller {
             shed_transmissions: shed,
             degradation,
         };
-        self.slot += 1;
+        self.driver.slot += 1;
         Ok(report)
     }
 
@@ -1277,11 +826,15 @@ impl Controller {
     ) {
         out.clear();
         out.extend(outcome.schedule.transmissions().iter().map(|t| {
-            let capacity = potential_capacity(spectrum.bandwidth(t.band()), &self.phy);
+            let capacity = potential_capacity(spectrum.bandwidth(t.band()), &self.driver.phy);
             (
                 t.tx(),
                 t.rx(),
-                packets_per_slot(capacity, self.config.packet_size, self.config.slot),
+                packets_per_slot(
+                    capacity,
+                    self.driver.config.packet_size,
+                    self.driver.config.slot,
+                ),
             )
         }));
     }

@@ -7,10 +7,12 @@
 //! Che/Duan/Zhang) powers lightly-loaded base stations down, and energy
 //! cooperation (PAPERS.md: Xu/Duan/Zhang) lets surplus renewable at one
 //! BS offset grid draw at another. [`NetworkState`] is the seam that
-//! carries this per-slot mutable state: it lives in the controller's
-//! [`crate::pipeline::SlotContext`] arena, is threaded through the
-//! [`crate::pipeline::ScheduleStage`] / [`crate::pipeline::EnergyStage`]
-//! traits, and is serialized by the simulator's snapshot codec.
+//! carries this per-slot mutable state: it lives in the slot driver's
+//! [`crate::pipeline::SlotContext`] arena, whose global pre-pass feeds it
+//! the fault mask and backlogs and runs the sleep machine; the schedule,
+//! admission and routing stages see its active mask, the
+//! [`crate::pipeline::EnergyStage`] trait receives it, and the simulator's
+//! snapshot codec serializes it.
 //!
 //! When both policies are disabled ([`NetworkState::dynamic`] is false)
 //! the state is inert: no stage reads it, no driver branch fires, and the
@@ -30,7 +32,8 @@ use crate::config::SchedulerKind;
 use crate::s4::EnergyManagementInput;
 use greencell_units::{Energy, Power};
 
-/// Hysteresis sleep policy for base stations (the `bs_sleep` stage).
+/// Hysteresis sleep policy for base stations (run by the slot driver's
+/// pre-pass).
 ///
 /// A BS whose total data backlog sits below [`SleepPolicy::threshold_pkts`]
 /// for [`SleepPolicy::w_slots`] consecutive slots powers down to
@@ -107,8 +110,7 @@ pub struct NetworkState {
     slot_wake_transitions: u64,
     sleep: Option<SleepPolicy>,
     coop: Option<CoopPolicy>,
-    /// The inner S1 algorithm the `bs_sleep` stage dispatches to after the
-    /// sleep machine has refreshed the active mask.
+    /// The S1 algorithm that schedules over the active mask.
     scheduler: SchedulerKind,
 }
 
@@ -122,8 +124,8 @@ impl Default for NetworkState {
 
 impl NetworkState {
     /// Builds the state for a network whose node kinds are `is_bs`, with
-    /// every BS awake. `scheduler` is the S1 algorithm the `bs_sleep`
-    /// stage runs after its sleep machine.
+    /// every BS awake. `scheduler` is the S1 algorithm that schedules over
+    /// the active mask.
     #[must_use]
     pub fn new(
         is_bs: &[bool],
@@ -176,7 +178,7 @@ impl NetworkState {
         self.coop.as_ref()
     }
 
-    /// The inner S1 algorithm the `bs_sleep` stage dispatches to.
+    /// The S1 algorithm that schedules over the active mask.
     #[must_use]
     pub fn scheduler(&self) -> SchedulerKind {
         self.scheduler
@@ -223,10 +225,10 @@ impl NetworkState {
 
     /// Runs one slot of the hysteresis sleep machine. `gain` is the
     /// channel gain lookup `(node, node) → H` used for wake triggers and
-    /// re-association (the dense controller passes the topology's gain
-    /// table; sharded drivers pass cluster-local gains with cross-cluster
-    /// pairs at zero). Returns whether the awake set changed — the sharded
-    /// controller's re-decompose trigger.
+    /// re-association (the slot driver passes partition-local gains with
+    /// cross-partition pairs at zero, which for the dense controller's one
+    /// partition is the topology's gain table). Returns whether the awake
+    /// set changed — the sharded controller's re-decompose trigger.
     ///
     /// Per-slot order: outage interplay, ramp countdown, hysteresis sleep
     /// entry (ascending node order, never the last awake BS), backlog-

@@ -2,8 +2,8 @@
 //! unrecoverable deficits as typed errors instead of panicking.
 
 use greencell_core::{
-    Controller, ControllerConfig, ControllerError, DegradationEvent, DegradationPolicy,
-    EnergyConfig, NodeEnergyConfig, RelayPolicy, SchedulerKind, SlotObservation,
+    Controller, ControllerConfig, ControllerError, CoopPolicy, DegradationEvent, DegradationPolicy,
+    EnergyConfig, NodeEnergyConfig, RelayPolicy, SchedulerKind, SleepPolicy, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
 use greencell_net::{Network, NetworkBuilder, PathLossModel, Point};
@@ -110,6 +110,48 @@ fn unservable_idle_demand_is_reported_under_strict_policy() {
     let err = ctl.step(&zero_renewable_obs()).unwrap_err();
     assert_eq!(err, ControllerError::IdleDeficit { node: 1 });
     assert!(err.to_string().contains("idle energy demand"));
+}
+
+/// A strict abort must not wipe the dynamic network state: the next slot
+/// keeps its scheduler, its sleep timers and both dynamic policies, and
+/// the state export still carries the timers.
+#[test]
+fn strict_abort_keeps_the_dynamic_network_state() {
+    let config = ControllerConfig {
+        scheduler: SchedulerKind::SequentialFix,
+        bs_sleep: Some(SleepPolicy {
+            threshold_pkts: 1.0,
+            w_slots: 3,
+            wake_threshold_pkts: 5.0,
+            ramp_slots: 1,
+            sleep_power: Power::from_watts(1.0),
+            ramp_power: Power::from_watts(5.0),
+        }),
+        energy_coop: Some(CoopPolicy { eta_x: 0.5 }),
+        ..strict_config()
+    };
+    let mut ctl = Controller::new(
+        tiny_net(),
+        PhyConfig::new(1.0, 1e-20),
+        idle_deficit_energy(),
+        config,
+    )
+    .unwrap();
+    for _ in 0..2 {
+        let err = ctl.step(&zero_renewable_obs()).unwrap_err();
+        assert_eq!(err, ControllerError::IdleDeficit { node: 1 });
+        let ns = ctl
+            .network_state()
+            .expect("the dynamic state survives the abort");
+        assert_eq!(ns.scheduler(), SchedulerKind::SequentialFix);
+        assert!(ns.sleep_policy().is_some() && ns.coop_policy().is_some());
+        let state = ctl.export_state();
+        assert_eq!(state.slot, 0, "an aborted slot does not count");
+        assert_eq!(state.awake, [true, true]);
+        assert_eq!(state.idle_slots.len(), 2, "sleep timers are exported");
+        assert_eq!(state.ramp_remaining.len(), 2);
+        assert_eq!(state.association.len(), 2);
+    }
 }
 
 #[test]

@@ -1,13 +1,15 @@
-//! The cluster-parallel slot solver and its observation driver.
+//! The cluster-partitioned controller and its observation driver.
 //!
-//! [`ShardedController`] replays the dense
-//! [`Controller`](greencell_core::Controller) step exactly, but runs the
-//! separable stages (S1 scheduling, S2 admission, S3 routing) per
-//! interference cluster — optionally on several worker threads — while S4
-//! energy management stays global (the provider's cost `f(P)` couples all
-//! base stations). With pruning disabled there is one cluster and every
-//! [`SlotReport`] is bit-identical to the dense pipeline's; the
-//! `city_equivalence` integration test pins that.
+//! [`ShardedController`] decomposes a city into interference clusters,
+//! builds one sub-network per cluster, and hands them to the one slot
+//! driver, [`SlotDriver`], as its partitions: S1 scheduling, S2 admission
+//! and S3 routing run per cluster — optionally on several worker threads —
+//! while S4 energy management stays global (the provider's cost `f(P)`
+//! couples all base stations). The dense
+//! [`Controller`](greencell_core::Controller) is the same driver with one
+//! partition, so with pruning disabled (one cluster) every [`SlotReport`]
+//! is bit-identical to the dense pipeline's; the `city_equivalence`
+//! integration test pins that, fault archetypes included.
 //!
 //! Worker count never changes results: clusters are solved from their own
 //! state only and are assigned to threads in contiguous deterministic
@@ -15,229 +17,43 @@
 //! always runs in cluster-id order on one thread — are identical at any
 //! parallelism.
 
-use greencell_core::pipeline::{self, EnergyStage, RelayStage, ScheduleStage};
-use greencell_core::{
-    dpp, resource_allocation_into, resource_allocation_masked_into, route_flows_into,
-    solve_grid_only_into, solve_safe_mode, Admission, ControllerConfig, DegradationEvent,
-    DegradationPolicy, EnergyManagementError, EnergyManagementInput, EnergyOutcome, NetworkState,
-    S1Inputs, S1Scratch, S3Scratch, S4Workspace, ScheduleOutcome, SlotObservation, SlotReport,
-};
-use greencell_energy::{Battery, CostFn, NodeEnergyModel, QuadraticCost};
-use greencell_net::{Network, NetworkBuilder, NodeId, NodeKind, PathLossModel, SessionId};
-use greencell_phy::{packets_per_slot, potential_capacity, PhyConfig, SpectrumState};
-use greencell_queue::{lyapunov_value, DataQueueBank, FlowPlan, LinkQueueBank};
+use greencell_core::pipeline::SlotDriver;
+use greencell_core::{EnergyConfig, NetworkState, SlotObservation, SlotReport};
+use greencell_energy::QuadraticCost;
+use greencell_net::{Network, NetworkBuilder, NodeId, NodeKind, PathLossModel};
+use greencell_phy::SpectrumState;
 use greencell_stochastic::{Distribution, Poisson, Rng};
+use greencell_trace::NoopSink;
 use greencell_units::{Bandwidth, Energy, Packets, Power};
 
 use super::ClusterSet;
 use crate::engine::SimError;
 use crate::scenario::{DemandModel, GridModel, Scenario, ScenarioLayout};
 
-/// One interference cluster's dense subproblem: its sub-network, queue
-/// banks, and the warm per-slot scratch the stages reuse. Local node ids
-/// are positions in the ascending global member list (base stations keep
-/// their lead because global ids put BSs first); local session ids follow
-/// global session order.
-#[derive(Debug)]
-struct ClusterSolver {
-    net: Network,
-    /// Global node ids, ascending.
-    nodes: Vec<usize>,
-    /// Global session ids, ascending.
-    sessions: Vec<usize>,
-    data: DataQueueBank,
-    links: LinkQueueBank,
-    max_powers: Vec<Power>,
-    models: Vec<NodeEnergyModel>,
-    // Per-slot scratch, allocated once and reused (zero-alloc steady state).
-    traffic_budget: Vec<Energy>,
-    session_demand: Vec<Packets>,
-    z: Vec<f64>,
-    s1: S1Scratch,
-    outcome: ScheduleOutcome,
-    s3: S3Scratch,
-    flows: FlowPlan,
-    admissions: Vec<Admission>,
-    link_service: Vec<(NodeId, NodeId, Packets)>,
-    routing_caps: Vec<(NodeId, NodeId, Packets)>,
-    admission_triples: Vec<(SessionId, NodeId, Packets)>,
-    /// Local active mask scattered from the controller's global
-    /// [`NetworkState`] each slot (empty = every node active, the
-    /// static-topology fast path — bit-identical to the pre-sleep solver).
-    avail: Vec<bool>,
-    /// Inert state satisfying the stage signature; the live sleep/coop
-    /// machine is the controller's global one.
-    net_state: NetworkState,
-}
-
-impl ClusterSolver {
-    /// Runs S1, S2, routing-cap assembly, link service, and S3 for one
-    /// slot — everything the dense step does before its S4 loop, minus
-    /// fault availability (the sharded path rejects faults). Routing caps
-    /// cover within-cluster pairs only; a cross-cluster gain is exactly
-    /// zero, so such a link can never be scheduled and routing onto it
-    /// would queue packets forever.
-    fn solve_slot(
-        &mut self,
-        phy: &PhyConfig,
-        spectrum: &SpectrumState,
-        config: &ControllerConfig,
-        schedule_stage: &'static dyn ScheduleStage,
-        relay_stage: &'static dyn RelayStage,
-        beta_cap: Packets,
-    ) {
-        let s1_inputs = S1Inputs {
-            net: &self.net,
-            phy,
-            spectrum,
-            links: &self.links,
-            max_powers: &self.max_powers,
-            energy_models: &self.models,
-            traffic_budget: &self.traffic_budget,
-            available: &self.avail,
-            slot: config.slot,
-            packet_size: config.packet_size,
-        };
-        schedule_stage.schedule(
-            &s1_inputs,
-            &mut self.net_state,
-            &mut self.s1,
-            &mut self.outcome,
-        );
-        if self.avail.is_empty() {
-            resource_allocation_into(
-                &self.net,
-                &self.data,
-                config.lambda,
-                config.v,
-                config.k_max,
-                &mut self.admissions,
-            );
-        } else {
-            // The sharded path rejects faults, so the scattered mask is
-            // exactly "awake and done ramping": sessions re-associate to a
-            // serving BS instead of queueing behind a sleeping one, same
-            // as the dense controller.
-            let avail = &self.avail;
-            resource_allocation_masked_into(
-                &self.net,
-                &self.data,
-                config.lambda,
-                config.v,
-                config.k_max,
-                &|b: NodeId| avail.get(b.index()).copied().unwrap_or(true),
-                &mut self.admissions,
-            );
-            self.admissions.retain(|a| avail[a.source.index()]);
-        }
-        let net = &self.net;
-        let avail = &self.avail;
-        self.routing_caps.clear();
-        self.routing_caps.extend(
-            net.topology()
-                .ordered_pairs()
-                .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
-                .filter(|&(i, j)| {
-                    avail.get(i.index()).copied().unwrap_or(true)
-                        && avail.get(j.index()).copied().unwrap_or(true)
-                })
-                .filter(|&(i, _)| relay_stage.may_relay(net, i))
-                .map(|(i, j)| (i, j, beta_cap)),
-        );
-        self.refresh_link_service(spectrum, phy, config);
-        route_flows_into(
-            &self.net,
-            &self.data,
-            &self.links,
-            &self.routing_caps,
-            &self.admissions,
-            &self.session_demand,
-            &mut self.s3,
-            &mut self.flows,
-        );
-    }
-
-    /// Recomputes the link-service list from the (possibly shed) schedule
-    /// — the only S3 input that changes on a degradation retry. The flow
-    /// plan does not read the schedule, so it needs no recompute.
-    fn refresh_link_service(
-        &mut self,
-        spectrum: &SpectrumState,
-        phy: &PhyConfig,
-        config: &ControllerConfig,
-    ) {
-        self.link_service.clear();
-        self.link_service
-            .extend(self.outcome.schedule.transmissions().iter().map(|t| {
-                let capacity = potential_capacity(spectrum.bandwidth(t.band()), phy);
-                (
-                    t.tx(),
-                    t.rx(),
-                    packets_per_slot(capacity, config.packet_size, config.slot),
-                )
-            }));
-    }
-}
-
 /// A cluster-parallel drop-in for the dense controller on city-scale
 /// scenarios: S1–S3 per interference cluster, S4 global, same degradation
 /// ladder, bit-identical reports when pruning is off (one cluster).
 ///
 /// Construct from a [`Scenario`]; step with the same [`SlotObservation`]s
-/// the dense pipeline takes (or drive it with [`CitySim`]).
+/// the dense pipeline takes, fault masks included (or drive it with
+/// [`CitySim`]).
 #[derive(Debug)]
 pub struct ShardedController {
-    phy: PhyConfig,
-    config: ControllerConfig,
-    cost: QuadraticCost,
-    beta: f64,
-    gamma_max: f64,
-    total_nodes: usize,
-    total_sessions: usize,
-    band_count: usize,
-    workers: usize,
-    schedule_stage: &'static dyn ScheduleStage,
-    relay_stage: &'static dyn RelayStage,
-    energy_stage: &'static dyn EnergyStage,
-    // Global per-node energy state, in global node-id order.
-    batteries: Vec<Battery>,
-    models: Vec<NodeEnergyModel>,
-    grid_limits: Vec<Energy>,
-    is_bs: Vec<bool>,
-    // Decomposition.
+    driver: SlotDriver,
+    /// The static decomposition the partitions are built from.
     decomposition: ClusterSet,
-    clusters: Vec<ClusterSolver>,
-    /// Cluster id → index into `clusters` (None for BS-less clusters,
-    /// whose nodes idle: no scheduling, no sessions, idle demand only).
-    solver_of_cluster: Vec<Option<usize>>,
-    node_cluster: Vec<usize>,
-    node_local: Vec<usize>,
-    /// Global ids of nodes in BS-less clusters.
-    uncovered: Vec<usize>,
-    // Dynamic network state (BS sleeping + energy cooperation). Inert
-    // when both policies are off; everything here runs pre-scatter on one
-    // thread, so worker count still never changes results.
-    net_state: NetworkState,
     /// The scenario and layout, kept for awake-set re-decomposition.
     scenario: Scenario,
     layout: ScenarioLayout,
     /// The decomposition over the currently-awake node set (recomputed on
     /// every awake-set change; equals `decomposition` while all BSs are
-    /// up). Solvers stay bound to the static decomposition — masking
+    /// up). Partitions stay bound to the static decomposition — masking
     /// inside a static cluster is exactly equivalent because cross-cluster
     /// gains are zero, so a user's best awake BS is always in its own
     /// static cluster.
     effective: ClusterSet,
     redecompositions: u64,
     masked: Vec<bool>,
-    // Global per-slot arena (reused; zero-alloc steady state).
-    z: Vec<f64>,
-    z_after: Vec<f64>,
-    demand: Vec<Energy>,
-    traffic_budget: Vec<Energy>,
-    s4: S4Workspace,
-    energy: EnergyOutcome,
-    slot: u64,
 }
 
 impl ShardedController {
@@ -250,15 +66,15 @@ impl ShardedController {
         Self::with_workers(scenario, 1)
     }
 
-    /// Builds the decomposition and all per-cluster state for `scenario`,
-    /// solving clusters on up to `workers` threads per slot. Worker count
-    /// does not affect results, only wall-clock.
+    /// Builds the decomposition and one driver partition per cluster that
+    /// has a base station, solving clusters on up to `workers` threads per
+    /// slot. Worker count does not affect results, only wall-clock.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnsupportedAtScale`] if the scenario uses shadowing or
-    /// fault injection, or if a session destination lands in a cluster
-    /// with no base station (no admission source could ever reach it);
+    /// [`SimError::UnsupportedAtScale`] if the scenario uses shadowing, or
+    /// if a session destination lands in a cluster with no base station
+    /// (no admission source could ever reach it);
     /// [`SimError::Network`] if a cluster sub-network fails validation.
     ///
     /// # Panics
@@ -273,59 +89,10 @@ impl ShardedController {
                     .into(),
             });
         }
-        if scenario.faults.is_some() {
-            return Err(SimError::UnsupportedAtScale {
-                detail: "fault injection is only wired into the dense Simulator".into(),
-            });
-        }
-        let phy = scenario.phy();
-        let config = scenario.controller_config();
-        config.validate();
-        let cost = QuadraticCost::new(scenario.cost.0, scenario.cost.1, scenario.cost.2);
-        let beta = dpp::beta(&config, &phy);
-        // The sharded driver runs the sleep machine itself (pre-scatter)
-        // and masks cluster solves, so it always resolves the *inner*
-        // scheduler — never the dense driver's `bs_sleep` wrapper stage.
-        let schedule_stage = pipeline::schedule_stage(config.scheduler.key())
-            .expect("built-in schedule stage is registered");
-        let relay_stage =
-            pipeline::relay_stage(config.relay.key()).expect("built-in relay stage is registered");
-        let energy_key = if config.energy_coop.is_some() {
-            "energy_coop"
-        } else {
-            config.energy_policy.key()
-        };
-        let energy_stage =
-            pipeline::energy_stage(energy_key).expect("built-in energy stage is registered");
-
         let layout = scenario.build_layout();
-        let n = layout.len();
-        let mut batteries = Vec::with_capacity(n);
-        let mut models = Vec::with_capacity(n);
-        let mut max_powers = Vec::with_capacity(n);
-        let mut grid_limits = Vec::with_capacity(n);
-        let mut is_bs = Vec::with_capacity(n);
-        for kind in &layout.kinds {
-            let nc = scenario.node_energy_config(kind.is_base_station());
-            batteries.push(nc.battery);
-            models.push(nc.energy_model);
-            max_powers.push(nc.max_power);
-            grid_limits.push(nc.grid_limit);
-            is_bs.push(kind.is_base_station());
-        }
-        // γ_max over the whole network's BS grid capacity, in global node
-        // order — exactly `dpp::gamma_max` on the dense network.
-        let max_grid_draw: Energy = (0..n).filter(|&i| is_bs[i]).map(|i| grid_limits[i]).sum();
-        let gamma_max = cost.max_marginal(max_grid_draw);
-
+        let is_bs: Vec<bool> = layout.kinds.iter().map(|k| k.is_base_station()).collect();
         let decomposition = ClusterSet::decompose(&layout, scenario);
-        let node_cluster = decomposition.membership().to_vec();
-        let mut node_local = vec![0usize; n];
-        for members in decomposition.clusters() {
-            for (local, &g) in members.iter().enumerate() {
-                node_local[g] = local;
-            }
-        }
+        let node_cluster = decomposition.membership();
         for &(dest, _) in &layout.sessions {
             let members = &decomposition.clusters()[node_cluster[dest]];
             if !is_bs[members[0]] {
@@ -337,16 +104,25 @@ impl ShardedController {
                 });
             }
         }
-
-        let mut clusters = Vec::new();
-        let mut solver_of_cluster = Vec::with_capacity(decomposition.len());
-        let mut uncovered = Vec::new();
+        let energy = EnergyConfig {
+            nodes: is_bs
+                .iter()
+                .map(|&bs| scenario.node_energy_config(bs))
+                .collect(),
+            cost: QuadraticCost::new(scenario.cost.0, scenario.cost.1, scenario.cost.2),
+        };
+        let mut driver = SlotDriver::new(
+            scenario.phy(),
+            energy,
+            scenario.controller_config(),
+            is_bs.clone(),
+            workers,
+        );
         for (cid, members) in decomposition.clusters().iter().enumerate() {
             // Global ids put BSs first, members are ascending: a cluster
-            // has a BS iff its first member is one.
+            // has a BS iff its first member is one. BS-less clusters get no
+            // partition; their nodes idle.
             if !is_bs[members[0]] {
-                solver_of_cluster.push(None);
-                uncovered.extend(members.iter().copied());
                 continue;
             }
             let mut b = NetworkBuilder::new(
@@ -362,124 +138,39 @@ impl ShardedController {
             for (local, &g) in members.iter().enumerate() {
                 b.set_bands(NodeId::from_index(local), layout.bands[g]);
             }
-            let mut cluster_sessions = Vec::new();
-            let mut destinations = Vec::new();
+            let mut sessions = Vec::new();
             for (sid, &(dest, demand)) in layout.sessions.iter().enumerate() {
                 if node_cluster[dest] == cid {
-                    let local = NodeId::from_index(node_local[dest]);
-                    b.add_session(local, demand);
-                    cluster_sessions.push(sid);
-                    destinations.push(local);
+                    let local = members
+                        .binary_search(&dest)
+                        .expect("destination is a member");
+                    b.add_session(NodeId::from_index(local), demand);
+                    sessions.push(sid);
                 }
             }
             if scenario.gain_floor > 0.0 {
                 b.set_gain_floor(scenario.gain_floor);
             }
             let net = b.build().map_err(SimError::Network)?;
-            let local_n = members.len();
-            let local_s = cluster_sessions.len();
-            // Structural per-slot maxima, so the warm scratch never grows
-            // after construction: candidate (i, j, m) triples are bounded
-            // by the shared-band count over ordered pairs, routable links
-            // by the pairs with any shared band, schedules by the
-            // single-radio limit ⌊n/2⌋.
-            let link_slots = net
-                .topology()
-                .ordered_pairs()
-                .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
-                .count();
-            let candidate_bound: usize = net
-                .topology()
-                .ordered_pairs()
-                .map(|(i, j)| net.link_bands(i, j).len())
-                .sum();
-            let schedule_bound = local_n / 2 + 1;
-            let mut s1 = S1Scratch::default();
-            s1.reserve(local_n, scenario.band_count(), candidate_bound);
-            let mut outcome = ScheduleOutcome::empty();
-            outcome.reserve(schedule_bound);
-            let mut s3 = S3Scratch::default();
-            s3.reserve(local_n, local_s, link_slots);
-            solver_of_cluster.push(Some(clusters.len()));
-            clusters.push(ClusterSolver {
-                net,
-                nodes: members.clone(),
-                sessions: cluster_sessions,
-                data: DataQueueBank::new(local_n, &destinations),
-                links: LinkQueueBank::new(local_n, beta),
-                max_powers: members.iter().map(|&g| max_powers[g]).collect(),
-                models: members.iter().map(|&g| models[g]).collect(),
-                traffic_budget: Vec::with_capacity(local_n),
-                session_demand: Vec::with_capacity(local_s),
-                z: Vec::with_capacity(local_n),
-                s1,
-                outcome,
-                s3,
-                flows: FlowPlan::new(local_n, local_s),
-                admissions: Vec::with_capacity(local_s),
-                link_service: Vec::with_capacity(schedule_bound),
-                routing_caps: Vec::with_capacity(link_slots),
-                admission_triples: Vec::with_capacity(local_s),
-                avail: Vec::with_capacity(local_n),
-                net_state: NetworkState::default(),
-            });
+            driver.add_partition(net, members.clone(), sessions);
         }
-
-        let net_state = NetworkState::new(
-            &is_bs,
-            config.bs_sleep,
-            config.energy_coop,
-            config.scheduler,
-        );
-        let effective = decomposition.clone();
+        driver.reserve_arenas();
         Ok(Self {
-            phy,
-            config,
-            cost,
-            beta,
-            gamma_max,
-            total_nodes: n,
-            total_sessions: layout.sessions.len(),
-            band_count: scenario.band_count(),
-            workers: workers.max(1),
-            schedule_stage,
-            relay_stage,
-            energy_stage,
-            batteries,
-            models,
-            grid_limits,
-            is_bs,
+            driver,
+            effective: decomposition.clone(),
             decomposition,
-            clusters,
-            solver_of_cluster,
-            node_cluster,
-            node_local,
-            uncovered,
-            net_state,
             scenario: scenario.clone(),
+            masked: Vec::with_capacity(layout.len()),
             layout,
-            effective,
             redecompositions: 0,
-            masked: Vec::with_capacity(n),
-            z: Vec::with_capacity(n),
-            z_after: Vec::with_capacity(n),
-            demand: Vec::with_capacity(n),
-            traffic_budget: Vec::with_capacity(n),
-            s4: S4Workspace::default(),
-            energy: EnergyOutcome::empty(),
-            slot: 0,
         })
     }
 
-    /// Runs one slot: scatter the observation, solve every cluster's
-    /// S1–S3 (in parallel when configured), solve global S4 with the
-    /// degradation ladder, advance all queues and batteries, and
-    /// aggregate the [`SlotReport`].
+    /// Runs one slot through the shared driver, then re-decomposes the
+    /// effective cluster set if the sleep machine changed the awake set.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnsupportedAtScale`] if the observation carries
-    /// per-node availability (fault injection);
     /// [`SimError::Controller`] under the strict degradation policy when
     /// S4 stays infeasible after shedding.
     ///
@@ -487,382 +178,18 @@ impl ShardedController {
     ///
     /// Panics if `obs` has the wrong dimensions for this scenario.
     pub fn step(&mut self, obs: &SlotObservation) -> Result<SlotReport, SimError> {
-        let mut clusters = std::mem::take(&mut self.clusters);
-        let result = self.step_inner(obs, &mut clusters);
-        self.clusters = clusters;
-        result
-    }
-
-    fn step_inner(
-        &mut self,
-        obs: &SlotObservation,
-        clusters: &mut [ClusterSolver],
-    ) -> Result<SlotReport, SimError> {
-        obs.validate(self.total_nodes, self.total_sessions, self.band_count);
-        if !obs.node_available.is_empty() {
-            return Err(SimError::UnsupportedAtScale {
-                detail: "per-node availability (fault injection) is only wired into the \
-                         dense pipeline"
-                    .into(),
-            });
+        let report = self.driver.step(obs, &mut NoopSink);
+        if self.driver.awake_set_changed() {
+            let awake = self.driver.network_state().map_or(&[][..], |ns| ns.awake());
+            let is_bs = self.layout.kinds.iter().map(|k| k.is_base_station());
+            self.masked.clear();
+            self.masked
+                .extend(is_bs.zip(awake).map(|(bs, &up)| bs && !up));
+            self.effective =
+                ClusterSet::decompose_masked(&self.layout, &self.scenario, &self.masked);
+            self.redecompositions += 1;
         }
-        let n = self.total_nodes;
-
-        // Dynamic network state: run the global sleep machine before any
-        // cluster solve, single-threaded, so results stay worker-count
-        // invariant. Inert (and allocation-free) when both policies are
-        // disabled.
-        if self.net_state.dynamic() {
-            self.net_state.begin_slot(&[]);
-            for c in clusters.iter() {
-                for (local, &g) in c.nodes.iter().enumerate() {
-                    self.net_state.set_node_backlog(
-                        g,
-                        c.data.node_backlog(NodeId::from_index(local)).count_f64(),
-                    );
-                }
-            }
-            if self.net_state.sleep_policy().is_some() {
-                let node_cluster = &self.node_cluster;
-                let node_local = &self.node_local;
-                let solver_of_cluster = &self.solver_of_cluster;
-                let immutable_clusters: &[ClusterSolver] = clusters;
-                // Cluster-local gain lookup; cross-cluster pairs are
-                // exactly zero by the decomposition's closure guarantee.
-                let gain = move |u: usize, b: usize| -> f64 {
-                    if node_cluster[u] != node_cluster[b] {
-                        return 0.0;
-                    }
-                    match solver_of_cluster[node_cluster[u]] {
-                        Some(si) => immutable_clusters[si].net.topology().gain(
-                            NodeId::from_index(node_local[u]),
-                            NodeId::from_index(node_local[b]),
-                        ),
-                        None => 0.0,
-                    }
-                };
-                if self.net_state.step_sleep(&gain) {
-                    let is_bs = &self.is_bs;
-                    let awake = self.net_state.awake();
-                    self.masked.clear();
-                    self.masked.extend((0..n).map(|i| is_bs[i] && !awake[i]));
-                    self.effective =
-                        ClusterSet::decompose_masked(&self.layout, &self.scenario, &self.masked);
-                    self.redecompositions += 1;
-                }
-            }
-            // Scatter the active mask into each cluster solver.
-            let active = self.net_state.active();
-            for c in clusters.iter_mut() {
-                c.avail.clear();
-                c.avail.extend(c.nodes.iter().map(|&g| active[g]));
-            }
-        }
-
-        // Shifted battery levels and energy admission budgets, globally in
-        // node order — the exact dense expressions.
-        self.z.clear();
-        self.z.extend((0..n).map(|i| {
-            dpp::shifted_level(
-                self.batteries[i].level(),
-                self.config.v,
-                self.gamma_max,
-                self.batteries[i].discharge_limit(),
-            )
-        }));
-        self.traffic_budget.clear();
-        self.traffic_budget.extend((0..n).map(|i| {
-            let fixed = self.models[i].const_energy() + self.models[i].idle_energy();
-            let grid = if obs.grid_connected[i] {
-                self.grid_limits[i]
-            } else {
-                Energy::ZERO
-            };
-            (obs.renewable[i] + self.batteries[i].max_discharge_now() + grid - fixed)
-                .max(Energy::ZERO)
-        }));
-
-        // Scatter to clusters.
-        for c in clusters.iter_mut() {
-            c.traffic_budget.clear();
-            c.traffic_budget
-                .extend(c.nodes.iter().map(|&g| self.traffic_budget[g]));
-            c.session_demand.clear();
-            c.session_demand
-                .extend(c.sessions.iter().map(|&s| obs.session_demand[s]));
-            c.z.clear();
-            c.z.extend(c.nodes.iter().map(|&g| self.z[g]));
-        }
-
-        // Cluster-parallel S1–S3.
-        let beta_cap = Packets::new(self.beta.floor() as u64);
-        {
-            let phy = &self.phy;
-            let config = &self.config;
-            let spectrum = &obs.spectrum;
-            let schedule_stage = self.schedule_stage;
-            let relay_stage = self.relay_stage;
-            let workers = self.workers.min(clusters.len().max(1));
-            if workers <= 1 {
-                for c in clusters.iter_mut() {
-                    c.solve_slot(phy, spectrum, config, schedule_stage, relay_stage, beta_cap);
-                }
-            } else {
-                let chunk = clusters.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for part in clusters.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for c in part {
-                                c.solve_slot(
-                                    phy,
-                                    spectrum,
-                                    config,
-                                    schedule_stage,
-                                    relay_stage,
-                                    beta_cap,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        // Global S4 with the degradation ladder (dense rung semantics,
-        // cluster-aware mechanics).
-        let mut shed = 0usize;
-        let mut degradation: Vec<DegradationEvent> = Vec::new();
-        let scaled_cost = dpp::scaled_cost(&self.cost, obs.price_multiplier);
-        loop {
-            // Per-node demand from the cluster schedules; BS-less-cluster
-            // nodes idle.
-            self.demand.clear();
-            self.demand.resize(n, Energy::ZERO);
-            for c in clusters.iter() {
-                for (local, &g) in c.nodes.iter().enumerate() {
-                    let node = NodeId::from_index(local);
-                    let tx_power = c.outcome.schedule.transmission_from(node).and_then(|t| {
-                        c.outcome
-                            .schedule
-                            .transmissions()
-                            .iter()
-                            .position(|u| u == t)
-                            .map(|k| c.outcome.powers[k])
-                    });
-                    let receiving = c.outcome.schedule.transmission_to(node).is_some();
-                    self.demand[g] =
-                        self.models[g].slot_demand(tx_power, receiving, self.config.slot);
-                }
-            }
-            for &g in &self.uncovered {
-                self.demand[g] = self.models[g].slot_demand(None, false, self.config.slot);
-            }
-            // Sleeping and ramping BSs replace their overhead demand with
-            // the policy's sleep/ramp power — same override as the dense
-            // driver, re-applied on every ladder retry.
-            if let Some(sp) = self.config.bs_sleep {
-                for g in 0..n {
-                    if !self.is_bs[g] {
-                        continue;
-                    }
-                    if self.net_state.is_asleep(g) {
-                        self.demand[g] = sp.sleep_power * self.config.slot;
-                    } else if self.net_state.ramp_remaining(g) > 0 {
-                        self.demand[g] = sp.ramp_power * self.config.slot;
-                    }
-                }
-            }
-            let input = EnergyManagementInput {
-                z: &self.z,
-                demand: &self.demand,
-                renewable: &obs.renewable,
-                batteries: &self.batteries,
-                grid_connected: &obs.grid_connected,
-                grid_limits: &self.grid_limits,
-                is_base_station: &self.is_bs,
-                cost: &scaled_cost,
-                v: self.config.v,
-            };
-            let err = match self.energy_stage.solve(
-                &input,
-                &mut self.net_state,
-                &mut self.s4,
-                &mut self.energy,
-            ) {
-                Ok(()) => break,
-                Err(e) => e,
-            };
-
-            // Rung 1 — shed the starving node's transmissions and retry.
-            let total_scheduled: usize = clusters.iter().map(|c| c.outcome.schedule.len()).sum();
-            let mut handled = false;
-            if total_scheduled > 0 {
-                let gnode = match err {
-                    EnergyManagementError::Deficit { node, .. } => node.min(n - 1),
-                    _ => clusters
-                        .iter()
-                        .find(|c| !c.outcome.schedule.is_empty())
-                        .map(|c| c.nodes[c.outcome.schedule.transmissions()[0].tx().index()])
-                        .expect("non-empty global schedule has a first transmission"),
-                };
-                if let Some(si) = self.solver_of_cluster[self.node_cluster[gnode]] {
-                    let c = &mut clusters[si];
-                    let local = NodeId::from_index(self.node_local[gnode]);
-                    let before = c.outcome.schedule.len();
-                    let reduced = pipeline::shed_node(
-                        &c.net,
-                        &c.outcome,
-                        local,
-                        &obs.spectrum,
-                        &self.phy,
-                        &c.max_powers,
-                    );
-                    let dropped = before - reduced.schedule.len();
-                    if dropped > 0 {
-                        c.outcome = reduced;
-                        shed += dropped;
-                        degradation.push(DegradationEvent::Shed {
-                            node: gnode,
-                            dropped,
-                        });
-                        c.refresh_link_service(&obs.spectrum, &self.phy, &self.config);
-                        handled = true;
-                    }
-                }
-            }
-            if handled {
-                continue;
-            }
-            if matches!(self.config.degradation, DegradationPolicy::Strict) {
-                return Err(SimError::Controller(err.into()));
-            }
-            // Rung 2 — storage-oblivious grid-only sourcing.
-            if solve_grid_only_into(&input, &mut self.energy).is_ok() {
-                degradation.push(DegradationEvent::GridOnlyFallback);
-                break;
-            }
-            // Rung 3a — drop the whole schedule and retry on idle demand.
-            if total_scheduled > 0 {
-                shed += total_scheduled;
-                degradation.push(DegradationEvent::Shed {
-                    node: n, // sentinel: whole-schedule drop
-                    dropped: total_scheduled,
-                });
-                for c in clusters.iter_mut() {
-                    c.outcome.clear();
-                    c.link_service.clear();
-                }
-                continue;
-            }
-            // Rung 3b — safe mode: always resolves.
-            let safe = solve_safe_mode(&input);
-            for &(node, deficit) in &safe.deficits {
-                degradation.push(DegradationEvent::SafeMode { node, deficit });
-            }
-            for c in clusters.iter_mut() {
-                c.admissions.clear();
-                c.link_service.clear();
-                let (cn, cs) = (c.net.topology().len(), c.net.session_count());
-                c.flows.reset(cn, cs);
-            }
-            self.energy = safe.outcome;
-            break;
-        }
-
-        // Drift-plus-penalty diagnostics against pre-update queue state.
-        // Each sum runs over clusters in id order on one thread, so it is
-        // one fixed f64 association — identical to the dense chain when
-        // there is a single cluster, deterministic always.
-        let lyapunov_before = sharded_lyapunov(clusters, &self.uncovered, &self.z);
-        let psi1 = dpp::psi1(
-            self.beta,
-            clusters.iter().flat_map(|c| {
-                c.link_service
-                    .iter()
-                    .map(|&(i, j, pkts)| c.links.h(i, j) * pkts.count_f64())
-            }),
-        );
-        let psi2 = dpp::psi2(
-            clusters.iter().flat_map(|c| {
-                c.admissions.iter().map(|a| {
-                    (
-                        c.data.backlog(a.source, a.session).count_f64(),
-                        a.packets.count_f64(),
-                    )
-                })
-            }),
-            self.config.lambda,
-            self.config.v,
-        );
-        let psi3 = dpp::psi3(clusters.iter().flat_map(|c| {
-            c.flows.iter_nonzero().map(|(s, i, j, l)| {
-                let coeff = -c.data.backlog(i, s).count_f64()
-                    + c.data.backlog(j, s).count_f64()
-                    + self.beta * c.links.h(i, j);
-                (coeff, l.count_f64())
-            })
-        }));
-
-        // Advance queues per cluster and batteries globally.
-        let mut admitted = 0u64;
-        let mut routed = 0u64;
-        let mut scheduled_links = 0usize;
-        for c in clusters.iter_mut() {
-            c.admission_triples.clear();
-            c.admission_triples.extend(
-                c.admissions
-                    .iter()
-                    .filter(|a| a.packets > Packets::ZERO)
-                    .map(|a| (a.session, a.source, a.packets)),
-            );
-            admitted += c
-                .admission_triples
-                .iter()
-                .map(|&(_, _, k)| k.count())
-                .sum::<u64>();
-            routed += c.flows.total().count();
-            scheduled_links += c.outcome.schedule.len();
-            c.data.advance(&c.flows, &c.admission_triples);
-            c.links.advance(&c.flows, &c.link_service);
-        }
-        for (battery, decision) in self.batteries.iter_mut().zip(&self.energy.decisions) {
-            decision
-                .apply_to_battery(battery)
-                .expect("validated decision must apply");
-        }
-        self.z_after.clear();
-        self.z_after.extend((0..n).map(|i| {
-            dpp::shifted_level(
-                self.batteries[i].level(),
-                self.config.v,
-                self.gamma_max,
-                self.batteries[i].discharge_limit(),
-            )
-        }));
-        for c in clusters.iter_mut() {
-            c.z.clear();
-            c.z.extend(c.nodes.iter().map(|&g| self.z_after[g]));
-        }
-        let lyapunov_after = sharded_lyapunov(clusters, &self.uncovered, &self.z_after);
-
-        let report = SlotReport {
-            slot: self.slot,
-            cost: self.energy.cost,
-            grid_draw: self.energy.grid_draw,
-            scheduled_links,
-            admitted: Packets::new(admitted),
-            routed: Packets::new(routed),
-            psi1,
-            psi2,
-            psi3,
-            psi4: self.energy.objective,
-            lyapunov_before,
-            lyapunov_after,
-            shed_transmissions: shed,
-            degradation,
-        };
-        self.slot += 1;
-        Ok(report)
+        Ok(report?)
     }
 
     /// The cluster decomposition this controller solves over.
@@ -875,19 +202,19 @@ impl ShardedController {
     /// at least one base station).
     #[must_use]
     pub fn solver_count(&self) -> usize {
-        self.clusters.len()
+        self.driver.partitions().len()
     }
 
     /// The configured worker-thread cap.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.driver.workers()
     }
 
     /// Slots stepped so far.
     #[must_use]
     pub fn slot(&self) -> u64 {
-        self.slot
+        self.driver.slot()
     }
 
     /// When the decomposition is a single cluster covering every node
@@ -895,10 +222,9 @@ impl ShardedController {
     /// which is then exactly the dense [`Scenario::build_network`] result.
     #[must_use]
     pub fn single_network(&self) -> Option<&Network> {
-        if self.decomposition.len() == 1 && self.clusters.len() == 1 {
-            Some(&self.clusters[0].net)
-        } else {
-            None
+        match self.driver.partitions() {
+            [only] if self.decomposition.len() == 1 => Some(only.network()),
+            _ => None,
         }
     }
 
@@ -906,7 +232,7 @@ impl ShardedController {
     /// cooperation policies are disabled (the state is then inert).
     #[must_use]
     pub fn network_state(&self) -> Option<&NetworkState> {
-        self.net_state.dynamic().then_some(&self.net_state)
+        self.driver.network_state()
     }
 
     /// How many times an awake-set change triggered recomputation of the
@@ -927,28 +253,12 @@ impl ShardedController {
     /// Total data-queue backlog across all clusters (stability telemetry).
     #[must_use]
     pub fn total_data_backlog(&self) -> Packets {
-        Packets::new(
-            self.clusters
-                .iter()
-                .map(|c| c.data.total_backlog().count())
-                .sum(),
-        )
+        self.driver
+            .partitions()
+            .iter()
+            .map(|p| p.data().total_backlog())
+            .sum()
     }
-}
-
-/// `Σ_c L_c + ½·Σ_{uncovered} z²`: the Lyapunov value decomposes over
-/// clusters because every queue (data, link) lives inside one cluster and
-/// the energy term is a per-node sum. Uncovered nodes have no queues, so
-/// only their shifted-energy term remains.
-fn sharded_lyapunov(clusters: &[ClusterSolver], uncovered: &[usize], z: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for c in clusters {
-        total += lyapunov_value(&c.data, &c.links, &c.z);
-    }
-    for &g in uncovered {
-        total += 0.5 * z[g] * z[g];
-    }
-    total
 }
 
 /// Drives a [`ShardedController`] with observations drawn by the exact
@@ -985,10 +295,20 @@ impl CitySim {
     ///
     /// # Errors
     ///
-    /// [`SimError::UnsupportedAtScale`] for Markov grid chains (their
-    /// per-node state is wired into the dense engine) and for anything
-    /// [`ShardedController::with_workers`] rejects.
+    /// [`SimError::UnsupportedAtScale`] for a fault plan and for Markov
+    /// grid chains — this driver draws neither, so it would silently run
+    /// the scenario without them — and for anything
+    /// [`ShardedController::with_workers`] rejects. The controller itself
+    /// takes fault masks: pre-draw observations that carry them and step
+    /// [`CitySim::controller_mut`] directly.
     pub fn with_workers(scenario: &Scenario, workers: usize) -> Result<Self, SimError> {
+        if scenario.faults.is_some() {
+            return Err(SimError::UnsupportedAtScale {
+                detail: "CitySim draws no fault plan; fault injection is wired into the \
+                         dense Simulator"
+                    .into(),
+            });
+        }
         if matches!(scenario.grid_model, GridModel::Markov { .. }) {
             return Err(SimError::UnsupportedAtScale {
                 detail: "Markov grid chains are only wired into the dense Simulator".into(),

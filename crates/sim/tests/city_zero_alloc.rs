@@ -11,7 +11,8 @@
 //! thread are counted: libtest's main thread blocks in a channel `recv`
 //! whose lazy wake-context setup allocates at an arbitrary point after
 //! the test starts, which on a single-core box races into the measured
-//! window.
+//! window. A second section repeats the audit with one base station down
+//! in every observation's fault mask.
 //!
 //! [`ShardedController::step`]: greencell_sim::ShardedController::step
 
@@ -96,5 +97,35 @@ fn steady_state_city_slot_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "steady-state sharded slots performed {delta} heap allocations: {per_slot:?}"
+    );
+
+    // Faulted steady state: the same city with base station 0 down in
+    // every slot. The mask flows through the shared pre-pass into every
+    // cluster's active set, which must stay allocation-free too.
+    let mut sim = CitySim::new(&s).expect("city path builds");
+    let observations: Vec<_> = (0..s.horizon)
+        .map(|_| {
+            let mut obs = sim.next_observation();
+            obs.node_available = (0..obs.renewable.len()).map(|i| i != 0).collect();
+            obs
+        })
+        .collect();
+    let controller = sim.controller_mut();
+    for obs in &observations[..warmup] {
+        let report = controller.step(obs).expect("faulted warm-up slot steps");
+        assert!(report.degradation.is_empty(), "warm-up must stay clean");
+    }
+    let mut per_slot = Vec::with_capacity(observations.len() - warmup);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for obs in &observations[warmup..] {
+        let at = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = controller.step(obs).expect("faulted slot steps");
+        per_slot.push(ALLOCATIONS.load(Ordering::Relaxed) - at);
+        assert!(report.degradation.is_empty(), "faulted run must stay clean");
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        delta, 0,
+        "faulted steady-state sharded slots performed {delta} heap allocations: {per_slot:?}"
     );
 }
