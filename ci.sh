@@ -40,7 +40,9 @@ cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS
 echo "== pipeline equivalence gate =="
 # The staged S1–S4 pipeline driver must match the frozen pre-refactor
 # oracle bit-for-bit: seed scenarios, all four fault scenarios, both
-# degradation policies, every policy axis, plus a property test over
+# degradation policies, every policy axis, a mask-toggle lockstep that
+# walks the cached routing caps through every invalidation (fault-mask
+# changes, a repeated mask, an arena reset), plus a property test over
 # random controller configurations. The zero-alloc audit pins the
 # steady-state arena discipline.
 cargo test -p greencell-sim --test pipeline_equivalence -q $CARGO_FLAGS
@@ -103,8 +105,11 @@ cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 
 echo "== city determinism gate =="
-# City runs are bit-identical across worker counts and seeds reproduce
-# byte-identical layouts; the steady-state city slot allocates nothing.
+# City runs (reports and final backlog) are bit-identical across worker
+# counts, including an uneven split (3 workers over 5 partitions) and more
+# workers than partitions, and seeds reproduce byte-identical layouts; the
+# steady-state city slot allocates nothing, also when a base-station
+# outage toggles every slot and forces routing-cap rebuilds.
 cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
 

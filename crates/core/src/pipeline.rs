@@ -798,8 +798,17 @@ struct PartitionArena {
     flows: FlowPlan,
     admissions: Vec<Admission>,
     link_service: Vec<(NodeId, NodeId, Packets)>,
+    /// S3's static routing caps, built for the active mask `caps_mask`.
     routing_caps: Vec<(NodeId, NodeId, Packets)>,
+    caps_mask: Vec<bool>,
+    /// Whether `routing_caps` was built since the arena was created.
+    caps_built: bool,
     admission_triples: Vec<(SessionId, NodeId, Packets)>,
+    /// This partition's term of `L(Θ)`: `L_p(t)` from the scatter until
+    /// the advance, then `L_p(t+1)`.
+    lyapunov: f64,
+    /// The last advance's scheduled links, admitted and routed packets.
+    tally: (usize, Packets, Packets),
 }
 
 impl PartitionArena {
@@ -825,6 +834,7 @@ impl PartitionArena {
             admissions: Vec::with_capacity(s),
             link_service: Vec::with_capacity(schedule_bound),
             routing_caps: Vec::with_capacity(link_slots),
+            caps_mask: Vec::with_capacity(n),
             admission_triples: Vec::with_capacity(s),
             ..Self::default()
         };
@@ -904,7 +914,8 @@ impl Partition {
         &self.data
     }
 
-    /// Copies the partition's slice of the slot's global inputs.
+    /// Copies the partition's slice of the slot's global inputs and
+    /// evaluates its Lyapunov term `L_p(t)`.
     fn scatter(&mut self, cx: &PartitionInputs<'_>) {
         let a = &mut self.arena;
         let mask = cx
@@ -922,6 +933,7 @@ impl Partition {
         a.session_demand.clear();
         a.session_demand
             .extend(self.sessions.iter().map(|&s| cx.obs.session_demand[s]));
+        a.lyapunov = lyapunov_value(&self.data, &self.links, &a.z);
     }
 
     /// S1 — link scheduling (+ minimal powers) over the active mask.
@@ -977,17 +989,29 @@ impl Partition {
     /// band at both ends, both endpoints active), capped at `β` packets per
     /// slot — the two-layer reading of constraint (25); see the `s3`
     /// module docs — plus the schedule's realized link service.
+    ///
+    /// The caps depend on the slot only through the active mask (the
+    /// network, relay policy and `β` are fixed at construction), so the
+    /// O(n²) scan that builds them is cached in the arena and rerun only
+    /// when the mask differs from the one they were built for: on the
+    /// first slot, after a fault or sleep-mask change, and after an arena
+    /// reset. A rebuild reuses the retained buffers.
     fn route(&mut self, cx: &PartitionInputs<'_>) {
         let (net, a) = (&self.net, &mut self.arena);
-        let up = |i: NodeId| a.avail.get(i.index()).copied().unwrap_or(true);
-        let caps = net
-            .topology()
-            .ordered_pairs()
-            .filter(|&(i, j)| !net.link_bands(i, j).is_empty() && up(i) && up(j))
-            .filter(|&(i, _)| cx.relay_stage.may_relay(net, i))
-            .map(|(i, j)| (i, j, cx.beta_cap));
-        a.routing_caps.clear();
-        a.routing_caps.extend(caps);
+        if !a.caps_built || a.caps_mask != a.avail {
+            let avail = &a.avail;
+            let up = |i: NodeId| avail.get(i.index()).copied().unwrap_or(true);
+            let caps = net
+                .topology()
+                .ordered_pairs()
+                .filter(|&(i, j)| !net.link_bands(i, j).is_empty() && up(i) && up(j))
+                .filter(|&(i, _)| cx.relay_stage.may_relay(net, i))
+                .map(|(i, j)| (i, j, cx.beta_cap));
+            a.routing_caps.clear();
+            a.routing_caps.extend(caps);
+            a.caps_mask.clone_from(&a.avail);
+            a.caps_built = true;
+        }
         a.refresh_link_service(cx.phy, cx.config, &cx.obs.spectrum);
         route_flows_into(
             net,
@@ -1019,9 +1043,10 @@ impl Partition {
         }
     }
 
-    /// Advances the queues by their laws; returns the slot's scheduled
-    /// links, admitted packets and routed packets.
-    fn advance(&mut self) -> (usize, Packets, Packets) {
+    /// Advances the queues by their laws, takes the partition's slice of
+    /// `z(t+1)` and evaluates `L_p(t+1)`; records the slot's scheduled
+    /// links, admitted packets and routed packets in the arena's tally.
+    fn advance(&mut self, z_after: &[f64]) {
         let a = &mut self.arena;
         a.admission_triples.clear();
         a.admission_triples.extend(
@@ -1033,8 +1058,34 @@ impl Partition {
         let admitted = a.admission_triples.iter().map(|&(_, _, k)| k).sum();
         self.data.advance(&a.flows, &a.admission_triples);
         self.links.advance(&a.flows, &a.link_service);
-        (a.outcome.schedule.len(), admitted, a.flows.total())
+        a.tally = (a.outcome.schedule.len(), admitted, a.flows.total());
+        a.z.clear();
+        a.z.extend(self.nodes.iter().map(|&g| z_after[g]));
+        a.lyapunov = lyapunov_value(&self.data, &self.links, &a.z);
     }
+}
+
+/// Runs `work` on every partition in contiguous chunks over up to
+/// `workers` scoped threads. The calling thread works the first chunk
+/// itself, so a fan-out spawns at most `workers − 1` threads; with one
+/// worker it spawns none. More than one worker needs a partition.
+fn fan_out<F>(parts: &mut [Partition], workers: usize, work: F)
+where
+    F: Fn(&mut Partition) + Sync,
+{
+    if workers <= 1 {
+        parts.iter_mut().for_each(work);
+        return;
+    }
+    let work = &work;
+    let mut chunks = parts.chunks_mut(parts.len().div_ceil(workers));
+    let first = chunks.next();
+    std::thread::scope(|scope| {
+        for chunk in chunks {
+            scope.spawn(move || chunk.iter_mut().for_each(work));
+        }
+        first.into_iter().flatten().for_each(work);
+    });
 }
 
 /// Global ids of the nodes no partition owns, ascending.
@@ -1044,11 +1095,12 @@ fn unowned(owner: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
 
 /// `L(Θ) = Σ_p L_p + ½·Σ_{unowned} z²`: the Lyapunov value decomposes over
 /// partitions because every queue lives inside one partition and the
-/// energy term is a per-node sum. Reads each partition's local `z`.
+/// energy term is a per-node sum. Sums each partition's stored `L_p` in
+/// partition order.
 fn lyapunov(parts: &[Partition], owner: &[(usize, usize)], z: &[f64]) -> f64 {
     let mut total = 0.0;
     for p in parts {
-        total += lyapunov_value(&p.data, &p.links, &p.arena.z);
+        total += p.arena.lyapunov;
     }
     for g in unowned(owner) {
         total += 0.5 * z[g] * z[g];
@@ -1061,17 +1113,22 @@ fn lyapunov(parts: &[Partition], owner: &[(usize, usize)], z: &[f64]) -> f64 {
 ///
 /// S1 scheduling, S2 admission and S3 routing separate per interference
 /// partition; S4 energy sourcing is global, because the provider cost
-/// `f(P)` couples every base station. A slot runs in four steps:
+/// `f(P)` couples every base station. A slot runs in five steps:
 ///
 /// 1. a global pre-pass: the fault mask into the [`NetworkState`], the
 ///    sleep machine, shifted levels `z` and traffic budgets;
-/// 2. per-partition S1–S3, serially or in contiguous chunks on scoped
-///    worker threads;
+/// 2. the first fan-out: each partition's scatter, Lyapunov term
+///    `L_p(t)` and S1–S3;
 /// 3. global S4 with the [`fallback_ladder`];
-/// 4. the state advance, with the Ψ̂ and Lyapunov sums in partition order.
+/// 4. on the calling thread: Ψ̂₁–Ψ̂₃, the battery decisions and `z(t+1)`;
+/// 5. the second fan-out: each partition's queue advance, `z(t+1)` slice
+///    and `L_p(t+1)`.
 ///
-/// Partitions are solved from their own state only and every global
-/// reduction runs in partition order on one thread, so the worker count
+/// A fan-out runs the partitions in contiguous chunks on scoped worker
+/// threads, the calling thread working the first chunk; at one worker it
+/// is a plain loop. Partitions are solved from their own state only and
+/// every global reduction — Ψ̂, `L(t)`, `L(t+1)` and the slot tallies —
+/// runs in partition order on the calling thread, so the worker count
 /// never changes a result. Nodes no partition owns (interference clusters
 /// without a base station) idle: no scheduling, no queues, idle demand.
 #[derive(Debug, Clone)]
@@ -1269,8 +1326,9 @@ impl SlotDriver {
     /// whole slot), degradation marks, and drift/penalty/Ψ̂ gauges into
     /// `sink`; with [`greencell_trace::NoopSink`] that reduces to one
     /// `enabled()` branch per site. When the partitions fan out to more
-    /// than one worker, S1–S3 run interleaved per partition and are neither
-    /// timed nor traced per stage.
+    /// than one worker, S1–S3 run interleaved per partition inside the
+    /// first fan-out and are neither timed nor traced per stage; the
+    /// advance span covers the battery update and the second fan-out.
     ///
     /// # Errors
     ///
@@ -1374,7 +1432,7 @@ impl SlotDriver {
             (obs.renewable[i] + batteries[i].max_discharge_now() + grid - fixed).max(Energy::ZERO)
         }));
 
-        // 2. Per-partition S1–S3.
+        // 2. First fan-out: per-partition scatter, L_p(t) and S1–S3.
         let inputs = PartitionInputs {
             phy,
             config,
@@ -1401,19 +1459,11 @@ impl SlotDriver {
             parts.iter_mut().for_each(|p| p.route(&inputs));
             clock.stop(&mut timings.s3, slot, Stage::S3, traced, sink);
         } else {
-            let chunk = parts.len().div_ceil(workers);
-            let inputs = &inputs;
-            std::thread::scope(|scope| {
-                for chunk in parts.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for p in chunk {
-                            p.scatter(inputs);
-                            p.schedule(inputs);
-                            p.admit(inputs);
-                            p.route(inputs);
-                        }
-                    });
-                }
+            fan_out(parts, workers, |p| {
+                p.scatter(&inputs);
+                p.schedule(&inputs);
+                p.admit(&inputs);
+                p.route(&inputs);
             });
         }
 
@@ -1506,7 +1556,8 @@ impl SlotDriver {
 
         // 4. Drift-plus-penalty diagnostics for the chosen actions, against
         //    the *pre-update* queue state (as in Lemma 1), then the state
-        //    advance: queues by their laws, batteries by the decisions.
+        //    advance: batteries by the decisions here, then queues by their
+        //    laws in the second fan-out.
         let lyapunov_before = lyapunov(parts, owner, z);
         let psi1 = dpp::psi1(
             *beta,
@@ -1539,13 +1590,6 @@ impl SlotDriver {
         }));
 
         let advance_start = traced.then(Instant::now);
-        let (mut scheduled_links, mut admitted, mut routed) = (0, Packets::ZERO, Packets::ZERO);
-        for p in parts.iter_mut() {
-            let (l, a, r) = p.advance();
-            scheduled_links += l;
-            admitted += a;
-            routed += r;
-        }
         for (battery, decision) in batteries.iter_mut().zip(&energy.decisions) {
             decision
                 .apply_to_battery(battery)
@@ -1553,9 +1597,16 @@ impl SlotDriver {
         }
         z_after.clear();
         z_after.extend(batteries.iter().map(shifted));
-        for p in parts.iter_mut() {
-            p.arena.z.clear();
-            p.arena.z.extend(p.nodes.iter().map(|&g| z_after[g]));
+        // 5. Second fan-out: per-partition queue advance, z(t+1) slice and
+        //    L_p(t+1); the tallies are summed here in partition order.
+        let z_after = &*z_after;
+        fan_out(parts, workers, |p| p.advance(z_after));
+        let (mut scheduled_links, mut admitted, mut routed) = (0, Packets::ZERO, Packets::ZERO);
+        for p in parts.iter() {
+            let (l, a, r) = p.arena.tally;
+            scheduled_links += l;
+            admitted += a;
+            routed += r;
         }
         let lyapunov_after = lyapunov(parts, owner, z_after);
         if let Some(start) = advance_start {

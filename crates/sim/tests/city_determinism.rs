@@ -20,21 +20,40 @@ fn city_generation_is_deterministic() {
     );
 }
 
+/// Reports and the final backlog agree at every worker count, including
+/// uneven splits (3 workers over 5 partitions) and more workers than
+/// partitions (16), where the calling thread's chunk and both per-slot
+/// fan-outs cover the tail.
 #[test]
 fn worker_count_does_not_change_results() {
-    let mut s = Scenario::city(240, 6, Scenario::default_city_area(6), 23);
-    s.horizon = 15;
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let mut sim = CitySim::with_workers(&s, workers).expect("city path builds");
-        assert!(
-            sim.controller().solver_count() >= 2,
-            "need several clusters for the parallelism to be real"
-        );
-        runs.push(sim.run().expect("run completes"));
+    for (users, bs) in [(240, 6), (200, 5)] {
+        let mut s = Scenario::city(users, bs, Scenario::default_city_area(bs), 23);
+        s.horizon = 15;
+        let mut runs = Vec::new();
+        for workers in [1usize, 2, 3, 4, 16] {
+            let mut sim = CitySim::with_workers(&s, workers).expect("city path builds");
+            let solvers = sim.controller().solver_count();
+            assert!(
+                solvers >= 2,
+                "need several clusters for the parallelism to be real"
+            );
+            assert!(solvers < 16, "want more workers than partitions");
+            if bs == 5 {
+                let chunk = solvers.div_ceil(3);
+                assert_ne!(solvers % chunk, 0, "3 workers must split unevenly");
+            }
+            let reports = sim.run().expect("run completes");
+            runs.push((workers, reports, sim.controller().total_data_backlog()));
+        }
+        let (_, reports, backlog) = &runs[0];
+        for (workers, r, b) in &runs[1..] {
+            assert_eq!(reports, r, "{bs} BSs: 1 vs {workers} workers diverged");
+            assert_eq!(
+                backlog, b,
+                "{bs} BSs: 1 vs {workers} workers: final backlog diverged"
+            );
+        }
     }
-    assert_eq!(runs[0], runs[1], "1 vs 2 workers diverged");
-    assert_eq!(runs[0], runs[2], "1 vs 4 workers diverged");
 }
 
 #[test]

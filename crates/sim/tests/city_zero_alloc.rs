@@ -12,7 +12,9 @@
 //! whose lazy wake-context setup allocates at an arbitrary point after
 //! the test starts, which on a single-core box races into the measured
 //! window. A second section repeats the audit with one base station down
-//! in every observation's fault mask.
+//! in every observation's fault mask, and a third with that base station
+//! going down and coming back on alternate slots, so every slot rebuilds
+//! the cached routing caps.
 //!
 //! [`ShardedController::step`]: greencell_sim::ShardedController::step
 
@@ -127,5 +129,41 @@ fn steady_state_city_slot_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "faulted steady-state sharded slots performed {delta} heap allocations: {per_slot:?}"
+    );
+
+    // Toggling steady state: base station 0 goes down and comes back on
+    // alternate slots, so its cluster's active mask changes every slot and
+    // S3 rebuilds that cluster's cached routing caps each time. The
+    // rebuild must reuse the reserved cap and mask buffers.
+    let mut sim = CitySim::new(&s).expect("city path builds");
+    let observations: Vec<_> = (0..s.horizon)
+        .map(|t| {
+            let mut obs = sim.next_observation();
+            obs.node_available = (0..obs.renewable.len())
+                .map(|i| i != 0 || t % 2 == 1)
+                .collect();
+            obs
+        })
+        .collect();
+    let controller = sim.controller_mut();
+    for obs in &observations[..warmup] {
+        let report = controller.step(obs).expect("toggling warm-up slot steps");
+        assert!(report.degradation.is_empty(), "warm-up must stay clean");
+    }
+    let mut per_slot = Vec::with_capacity(observations.len() - warmup);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for obs in &observations[warmup..] {
+        let at = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = controller.step(obs).expect("toggling slot steps");
+        per_slot.push(ALLOCATIONS.load(Ordering::Relaxed) - at);
+        assert!(
+            report.degradation.is_empty(),
+            "toggling run must stay clean"
+        );
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        delta, 0,
+        "mask-toggling steady-state sharded slots performed {delta} heap allocations: {per_slot:?}"
     );
 }

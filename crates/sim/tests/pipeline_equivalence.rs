@@ -12,9 +12,9 @@
 //! [`SlotReport`]: greencell_core::SlotReport
 //! [`RunMetrics`]: greencell_sim::RunMetrics
 
-use greencell_core::DegradationPolicy;
+use greencell_core::{Controller, DegradationPolicy};
 use greencell_sim::faults::FaultSpec;
-use greencell_sim::{Scenario, Simulator};
+use greencell_sim::{Architecture, Scenario, Simulator};
 
 /// Steps a pipeline simulator and a reference simulator in lockstep and
 /// asserts bit-identical per-slot reports, final metrics, and watchdog
@@ -141,10 +141,63 @@ fn pipeline_matches_oracle_across_policy_axes() {
     assert_equivalent("sequential_fix", &sequential);
 
     let mut one_hop = Scenario::tiny(4242);
-    one_hop.architecture = greencell_sim::Architecture::OneHopRenewable;
+    one_hop.architecture = Architecture::OneHopRenewable;
     assert_equivalent("one_hop", &one_hop);
 
     let mut grid_only = Scenario::tiny(4242);
     grid_only.energy_policy = greencell_core::EnergyPolicy::GridOnly;
     assert_equivalent("grid_only", &grid_only);
+}
+
+/// The driver caches S3's routing caps per active mask, while the oracle
+/// rebuilds them every slot. A hand-built mask sequence walks the cache
+/// through every invalidation: no mask → BS 0 down → no mask → BS 1 down
+/// → BS 0 down twice (a cache hit) → a user node down → an all-up mask
+/// spelled out in full, then an arena reset (export + import) before the
+/// cycle repeats. Every report must match the oracle's bit for bit.
+#[test]
+fn routing_cap_cache_follows_every_mask_change() {
+    let mut multi_hop = Scenario::paper(42);
+    multi_hop.horizon = 32;
+    let mut one_hop = multi_hop.clone();
+    one_hop.architecture = Architecture::OneHopRenewable;
+    for (label, s) in [("multi_hop", multi_hop), ("one_hop", one_hop)] {
+        let (_, observations) = Simulator::new(&s)
+            .expect("scenario builds")
+            .run_recording()
+            .expect("run completes");
+        let controller = || {
+            let net = s.build_network().expect("network builds");
+            let energy = s.energy_config(&net);
+            Controller::new(net, s.phy(), energy, s.controller_config()).expect("controller builds")
+        };
+        let (mut cached, mut oracle) = (controller(), controller());
+        let user = s.bs_positions.len() + 2;
+        let down: [Option<usize>; 8] = [
+            None,
+            Some(0),
+            None,
+            Some(1),
+            Some(0),
+            Some(0),
+            Some(user),
+            None,
+        ];
+        for (t, obs) in observations.iter().enumerate() {
+            let phase = t % down.len();
+            let mut obs = obs.clone();
+            obs.node_available = match down[phase] {
+                Some(d) => (0..obs.renewable.len()).map(|i| i != d).collect(),
+                None if phase == down.len() - 1 => vec![true; obs.renewable.len()],
+                None => Vec::new(),
+            };
+            if phase == 0 && t > 0 {
+                let state = cached.export_state();
+                cached.import_state(&state);
+            }
+            let a = cached.step(&obs);
+            let b = oracle.step_reference(&obs);
+            assert_eq!(a, b, "{label}: slot {t} (phase {phase}) diverged");
+        }
+    }
 }
