@@ -37,6 +37,20 @@ echo "== s4 kernel equivalence gate =="
 cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS
 
+echo "== s3 kernel equivalence gate =="
+# The sparse S3 routing kernel must match the frozen dense scan
+# (route_flows_reference) plan for plan: lockstep property tests over
+# random backlogs, link queues and caps (zero caps, masked nodes, sessions
+# without an admission, shared destinations, exact coefficient ties), and
+# the pipeline oracle, which routes through the dense scan. The sparse
+# queue banks must replay a naive dense model of Eqs. (15)/(28), Lyapunov
+# sum bit for bit, also after a mid-sequence restore. The queue crate's
+# tests run in release too, where its out-of-range ids must still panic.
+cargo test -p greencell-core --test prop_s3_kernel -q $CARGO_FLAGS
+cargo test -p greencell-sim --test pipeline_equivalence -q $CARGO_FLAGS
+cargo test -p greencell-queue --test prop_queue -q $CARGO_FLAGS
+cargo test -p greencell-queue --release -q $CARGO_FLAGS
+
 echo "== pipeline equivalence gate =="
 # The staged S1–S4 pipeline driver must match the frozen pre-refactor
 # oracle bit-for-bit: seed scenarios, all four fault scenarios, both

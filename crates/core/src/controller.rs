@@ -11,7 +11,7 @@
 
 use crate::pipeline::{self, EnergyStage, SlotDriver};
 use crate::{
-    dpp, greedy_schedule_with, resource_allocation, route_flows, s1::S1Inputs,
+    dpp, greedy_schedule_with, resource_allocation, route_flows_reference, s1::S1Inputs,
     sequential_fix_schedule_with, solve_energy_management, ControllerConfig, EnergyConfig,
     EnergyManagementError, EnergyManagementInput, NetworkState, S1Scratch, ScheduleOutcome,
     SchedulerKind, SlotObservation,
@@ -627,7 +627,7 @@ impl Controller {
         let mut link_service: Vec<(NodeId, NodeId, Packets)> = Vec::new();
         let (flows, energy_outcome) = loop {
             self.link_service_into(&outcome, &obs.spectrum, &mut link_service);
-            let flows = route_flows(
+            let flows = route_flows_reference(
                 &self.driver.parts[0].net,
                 &self.driver.parts[0].data,
                 &self.driver.parts[0].links,

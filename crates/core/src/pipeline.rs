@@ -39,8 +39,8 @@ use crate::{
     sequential_fix_schedule_with, solve_energy_management_into, solve_energy_management_warm_into,
     solve_grid_only_into, solve_safe_mode, Admission, ControllerConfig, ControllerError,
     DegradationEvent, DegradationPolicy, EnergyConfig, EnergyManagementError,
-    EnergyManagementInput, EnergyOutcome, S1Scratch, S3Scratch, S4Workspace, ScheduleOutcome,
-    SlotObservation, SlotReport, StageTimings,
+    EnergyManagementInput, EnergyOutcome, RoutingCaps, S1Scratch, S3Scratch, S4Workspace,
+    ScheduleOutcome, SlotObservation, SlotReport, StageTimings,
 };
 use greencell_energy::{Battery, CostFn, NodeEnergyModel, QuadraticCost};
 use greencell_net::{Network, NodeId, SessionId};
@@ -798,8 +798,9 @@ struct PartitionArena {
     flows: FlowPlan,
     admissions: Vec<Admission>,
     link_service: Vec<(NodeId, NodeId, Packets)>,
-    /// S3's static routing caps, built for the active mask `caps_mask`.
-    routing_caps: Vec<(NodeId, NodeId, Packets)>,
+    /// S3's static routing caps with their per-sender offsets, built for
+    /// the active mask `caps_mask`.
+    routing_caps: RoutingCaps,
     caps_mask: Vec<bool>,
     /// Whether `routing_caps` was built since the arena was created.
     caps_built: bool,
@@ -830,10 +831,8 @@ impl PartitionArena {
             traffic_budget: Vec::with_capacity(n),
             session_demand: Vec::with_capacity(s),
             z: Vec::with_capacity(n),
-            flows: FlowPlan::new(n, s),
             admissions: Vec::with_capacity(s),
             link_service: Vec::with_capacity(schedule_bound),
-            routing_caps: Vec::with_capacity(link_slots),
             caps_mask: Vec::with_capacity(n),
             admission_triples: Vec::with_capacity(s),
             ..Self::default()
@@ -841,6 +840,8 @@ impl PartitionArena {
         arena.s1.reserve(n, net.band_count(), candidates);
         arena.outcome.reserve(schedule_bound);
         arena.s3.reserve(n, s, link_slots);
+        arena.routing_caps.reserve(n, link_slots);
+        arena.flows.reserve(link_slots + s);
         arena
     }
 
@@ -992,10 +993,11 @@ impl Partition {
     ///
     /// The caps depend on the slot only through the active mask (the
     /// network, relay policy and `β` are fixed at construction), so the
-    /// O(n²) scan that builds them is cached in the arena and rerun only
-    /// when the mask differs from the one they were built for: on the
-    /// first slot, after a fault or sleep-mask change, and after an arena
-    /// reset. A rebuild reuses the retained buffers.
+    /// O(n²) scan that builds them, with its per-sender offset table, is
+    /// cached in the arena and rerun only when the mask differs from the
+    /// one they were built for: on the first slot, after a fault or
+    /// sleep-mask change, and after an arena reset. A rebuild reuses the
+    /// retained buffers.
     fn route(&mut self, cx: &PartitionInputs<'_>) {
         let (net, a) = (&self.net, &mut self.arena);
         if !a.caps_built || a.caps_mask != a.avail {
@@ -1007,8 +1009,7 @@ impl Partition {
                 .filter(|&(i, j)| !net.link_bands(i, j).is_empty() && up(i) && up(j))
                 .filter(|&(i, _)| cx.relay_stage.may_relay(net, i))
                 .map(|(i, j)| (i, j, cx.beta_cap));
-            a.routing_caps.clear();
-            a.routing_caps.extend(caps);
+            a.routing_caps.rebuild(net.topology().len(), caps);
             a.caps_mask.clone_from(&a.avail);
             a.caps_built = true;
         }

@@ -33,17 +33,103 @@ use crate::Admission;
 use greencell_net::{Network, NodeId, SessionId};
 use greencell_queue::{DataQueueBank, FlowPlan, LinkQueueBank};
 use greencell_units::Packets;
+use std::ops::Range;
 
-/// Retained scratch for [`route_flows_into`]: remaining link capacities,
-/// per-node backlogs, the phase-2 candidate heap, and the one-session-per-
-/// link marker. All buffers are cleared and refilled each slot; none shrink,
-/// so steady-state routing performs zero heap allocations.
+/// S3's routing caps `(i, j, cap)` grouped by sender, with a per-sender
+/// offset table: sender `i`'s links are `caps[starts[i]..starts[i + 1]]`.
+///
+/// The caps keep the order they were given in, which must list senders in
+/// ascending order (`Topology::ordered_pairs` is i-major, so a filtered
+/// pass over it is). That makes a link's position in the list — the
+/// routing tie-break — the same whether S3 scans every link or only the
+/// links of backlogged senders.
+#[derive(Debug, Clone, Default)]
+pub struct RoutingCaps {
+    caps: Vec<(NodeId, NodeId, Packets)>,
+    /// `nodes + 1` offsets into `caps`.
+    starts: Vec<usize>,
+}
+
+impl RoutingCaps {
+    /// Creates an empty cap list over zero nodes.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Grows the buffers for `nodes` nodes and up to `links` caps, so a
+    /// rebuild allocates nothing.
+    pub fn reserve(&mut self, nodes: usize, links: usize) {
+        self.caps.reserve(links);
+        self.starts.reserve(nodes + 1);
+    }
+
+    /// Replaces the caps with `caps` over a `nodes`-node network and
+    /// rebuilds the offset table, reusing the buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the senders ascend and are all below `nodes`.
+    pub fn rebuild(
+        &mut self,
+        nodes: usize,
+        caps: impl IntoIterator<Item = (NodeId, NodeId, Packets)>,
+    ) {
+        self.caps.clear();
+        self.caps.extend(caps);
+        self.starts.clear();
+        let mut k = 0;
+        for i in 0..nodes {
+            self.starts.push(k);
+            while k < self.caps.len() && self.caps[k].0.index() == i {
+                k += 1;
+            }
+        }
+        self.starts.push(k);
+        assert!(
+            k == self.caps.len(),
+            "routing caps must list senders in ascending order, each below {nodes}"
+        );
+    }
+
+    /// The caps, in the order they were given.
+    #[must_use]
+    pub fn as_slice(&self) -> &[(NodeId, NodeId, Packets)] {
+        &self.caps
+    }
+
+    /// Number of nodes the offset table spans.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Positions of sender `i`'s caps.
+    fn sender(&self, i: NodeId) -> Range<usize> {
+        self.starts[i.index()]..self.starts[i.index() + 1]
+    }
+}
+
+/// Retained scratch for [`route_flows_into`]: the backlogged senders with
+/// their remaining backlog, the phase-2 candidate heap, and the per-link
+/// spent capacity and one-session-per-link marker. The per-link buffers
+/// are all-zero between calls — routing records the links it touches and
+/// clears exactly those — so a slot costs nothing per idle link. No buffer
+/// shrinks, so steady-state routing performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct S3Scratch {
-    cap: Vec<(NodeId, NodeId, Packets)>,
-    backlog: Vec<Packets>,
-    combos: Vec<(f64, SessionId, usize)>,
+    /// `(Q^s_i > 0` sender, remaining backlog`)`, session-major, ascending
+    /// node.
+    senders: Vec<(NodeId, Packets)>,
+    /// Session `s`'s senders are `senders[sender_start[s]..sender_start[s + 1]]`.
+    sender_start: Vec<usize>,
+    /// Phase-2 candidates `(!w.to_bits(), s, cap position, sender
+    /// position)`: for the negative `w` kept here, ascending `!bits` is
+    /// ascending `w`, so the tuple's own order is `(w, s, cap position)`.
+    combos: Vec<(u64, SessionId, usize, usize)>,
+    spent: Vec<Packets>,
     link_used: Vec<bool>,
+    touched: Vec<usize>,
 }
 
 impl S3Scratch {
@@ -57,9 +143,10 @@ impl S3Scratch {
     /// `links` routable links, so a steady-state slot allocates nothing
     /// even when the backpressure candidate set hits a new peak.
     pub fn reserve(&mut self, nodes: usize, sessions: usize, links: usize) {
-        self.cap.reserve(links);
-        self.backlog.reserve(nodes * sessions);
+        self.senders.reserve(nodes * sessions);
+        self.sender_start.reserve(sessions + 1);
         self.combos.reserve(links * sessions);
+        self.spent.reserve(links);
         self.link_used.reserve(links);
     }
 }
@@ -70,10 +157,12 @@ impl S3Scratch {
 /// cap in packets (the controller passes all `ℳ_i ∩ ℳ_j ≠ ∅` pairs with
 /// the `β` bound); `admissions` supplies the chosen sources `s_s(t)` (for
 /// constraint (16)); `session_demand` supplies `v_s(t)` (for (18)).
+/// The caps must list senders in ascending order (see [`RoutingCaps`]).
 ///
 /// # Panics
 ///
-/// Panics if `session_demand.len()` differs from the session count.
+/// Panics if `session_demand.len()` differs from the session count or
+/// the caps are out of sender order.
 #[must_use]
 pub fn route_flows(
     net: &Network,
@@ -83,13 +172,15 @@ pub fn route_flows(
     admissions: &[Admission],
     session_demand: &[Packets],
 ) -> FlowPlan {
+    let mut caps = RoutingCaps::new();
+    caps.rebuild(net.topology().len(), routing_caps.iter().copied());
     let mut scratch = S3Scratch::new();
     let mut plan = FlowPlan::new(net.topology().len(), net.session_count());
     route_flows_into(
         net,
         data,
         links,
-        routing_caps,
+        &caps,
         admissions,
         session_demand,
         &mut scratch,
@@ -100,22 +191,208 @@ pub fn route_flows(
 
 /// [`route_flows`] into caller-owned scratch and plan — the pipeline's
 /// allocation-free path. The plan is reset to the network's dimensions
-/// (retaining its buffer); decisions are identical to [`route_flows`].
+/// (retaining its buffer); decisions are identical to
+/// [`route_flows_reference`].
+///
+/// The work is proportional to the backlogged senders and their links,
+/// not to every link. A link's coefficient `−Q^s_i + Q^s_j + β·H_ij` can
+/// only be negative where `Q^s_i > 0`, and delivery needs sender backlog
+/// too, so both phases draw their candidates from the links of
+/// backlogged senders only, with each session's source and destination
+/// hoisted out of the link loop. Phase 1 visits its candidates in cap
+/// order, as the dense scan does, so ties resolve to the same link;
+/// phase 2 sorts by the same total order `(w, s, cap position)`.
+///
+/// # Panics
+///
+/// Panics if `session_demand.len()` differs from the session count or
+/// the caps span a different node count than the network.
+#[allow(clippy::too_many_arguments)]
+pub fn route_flows_into(
+    net: &Network,
+    data: &DataQueueBank,
+    links: &LinkQueueBank,
+    routing_caps: &RoutingCaps,
+    admissions: &[Admission],
+    session_demand: &[Packets],
+    scratch: &mut S3Scratch,
+    plan: &mut FlowPlan,
+) {
+    let sessions = net.session_count();
+    assert_eq!(session_demand.len(), sessions, "one demand per session");
+    let nodes = net.topology().len();
+    assert_eq!(
+        routing_caps.node_count(),
+        nodes,
+        "caps/network node mismatch"
+    );
+    let beta = links.beta();
+    let caps = routing_caps.as_slice();
+    // Structural bounds, so a slot that reaches a new traffic peak still
+    // allocates nothing: one delivery per session plus one session per
+    // link, and at most every (session, node) queue backlogged.
+    plan.reset(nodes, sessions);
+    plan.reserve(caps.len() + sessions);
+    let S3Scratch {
+        senders,
+        sender_start,
+        combos,
+        spent,
+        link_used,
+        touched,
+    } = scratch;
+    senders.clear();
+    senders.reserve(nodes * sessions);
+    touched.reserve(caps.len() + sessions);
+    // All-zero at rest, so resizing to new caps needs no clearing.
+    spent.resize(caps.len(), Packets::ZERO);
+    link_used.resize(caps.len(), false);
+
+    // Backlogged senders and their remaining backlog (anti-phantom).
+    sender_start.clear();
+    for s in 0..sessions {
+        sender_start.push(senders.len());
+        let s = SessionId::from_index(s);
+        senders.extend(
+            (0..nodes)
+                .map(|i| {
+                    (
+                        NodeId::from_index(i),
+                        data.backlog(NodeId::from_index(i), s),
+                    )
+                })
+                .filter(|&(_, q)| q > Packets::ZERO),
+        );
+    }
+    sender_start.push(senders.len());
+
+    let source_of = |s: SessionId| -> NodeId {
+        admissions
+            .iter()
+            .find(|a| a.session == s)
+            .map_or(NodeId::from_index(usize::MAX - 1), |a| a.source)
+    };
+
+    // Phase 1: destination delivery per (18).
+    for session in net.sessions() {
+        let s = session.id();
+        let dest = session.destination();
+        let want = session_demand[s.index()];
+        if want == Packets::ZERO {
+            continue;
+        }
+        // Cheapest link into the destination with spare capacity and actual
+        // backlog at the sender; the first such minimum in cap order.
+        let mut best: Option<(f64, NodeId, usize, usize)> = None;
+        let first = sender_start[s.index()];
+        let last = sender_start[s.index() + 1];
+        for (pos, &(i, backlog)) in senders.iter().enumerate().take(last).skip(first) {
+            if i == dest || backlog == Packets::ZERO {
+                continue;
+            }
+            for idx in routing_caps.sender(i) {
+                let (_, j, c) = caps[idx];
+                if j != dest || c == spent[idx] {
+                    continue;
+                }
+                let w = -data.backlog(i, s).count_f64()
+                    + data.backlog(j, s).count_f64()
+                    + beta * links.h(i, j);
+                let better = best.is_none_or(|(bw, bi, _, _)| {
+                    w.total_cmp(&bw).then(i.cmp(&bi)) == std::cmp::Ordering::Less
+                });
+                if better {
+                    best = Some((w, i, idx, pos));
+                }
+            }
+        }
+        if let Some((_, i, idx, pos)) = best {
+            let (_, j, c) = caps[idx];
+            let amount = want.min(c.saturating_sub(spent[idx])).min(senders[pos].1);
+            if amount > Packets::ZERO {
+                plan.set(s, i, j, amount);
+                spent[idx] += amount;
+                senders[pos].1 = senders[pos].1.saturating_sub(amount);
+                touched.push(idx);
+            }
+        }
+    }
+
+    // Phase 2: backpressure — globally greedy over (session, link) pairs
+    // with negative coefficients, one session per link.
+    combos.clear();
+    for s_idx in 0..sessions {
+        let s = SessionId::from_index(s_idx);
+        let source = source_of(s); // (16)
+        let dest = net.session(s).destination(); // (17); dest inflow is phase 1's
+        let (first, last) = (sender_start[s_idx], sender_start[s_idx + 1]);
+        for (pos, &(i, _)) in senders.iter().enumerate().take(last).skip(first) {
+            if i == dest {
+                continue;
+            }
+            let q_i = data.backlog(i, s).count_f64();
+            for idx in routing_caps.sender(i) {
+                let (_, j, c) = caps[idx];
+                if c == spent[idx] || j == source || j == dest {
+                    continue;
+                }
+                let w = -q_i + data.backlog(j, s).count_f64() + beta * links.h(i, j);
+                if w < 0.0 {
+                    combos.push((!w.to_bits(), s, idx, pos));
+                }
+            }
+        }
+    }
+    // Every `(session, link)` pair is distinct, so the order is total and
+    // the unstable in-place sort is deterministic; integer keys compare
+    // faster than `f64::total_cmp`.
+    combos.sort_unstable();
+    for &(_, s, idx, pos) in combos.iter() {
+        if link_used[idx] {
+            continue;
+        }
+        let (i, j, c) = caps[idx];
+        let amount = c.saturating_sub(spent[idx]).min(senders[pos].1);
+        if amount == Packets::ZERO {
+            continue;
+        }
+        let already = plan.get(s, i, j);
+        plan.set(s, i, j, already + amount);
+        spent[idx] += amount;
+        senders[pos].1 = senders[pos].1.saturating_sub(amount);
+        link_used[idx] = true;
+        touched.push(idx);
+    }
+
+    // Back to all-zero for the next call.
+    for &idx in touched.iter() {
+        spent[idx] = Packets::ZERO;
+        link_used[idx] = false;
+    }
+    touched.clear();
+}
+
+/// The dense S3 scan that [`route_flows_into`] replaced, frozen as its
+/// equivalence oracle: every link and every session is visited each
+/// call, and the caps may come in any order. Allocates per call. Used by
+/// [`crate::Controller::step_reference`] and the S3 kernel property tests;
+/// not part of the public API.
 ///
 /// # Panics
 ///
 /// Panics if `session_demand.len()` differs from the session count.
-#[allow(clippy::too_many_arguments)]
-pub fn route_flows_into(
+#[doc(hidden)]
+#[must_use]
+pub fn route_flows_reference(
     net: &Network,
     data: &DataQueueBank,
     links: &LinkQueueBank,
     routing_caps: &[(NodeId, NodeId, Packets)],
     admissions: &[Admission],
     session_demand: &[Packets],
-    scratch: &mut S3Scratch,
-    plan: &mut FlowPlan,
-) {
+) -> FlowPlan {
+    let mut scratch = ReferenceScratch::default();
+    let mut plan = FlowPlan::empty();
     let sessions = net.session_count();
     assert_eq!(session_demand.len(), sessions, "one demand per session");
     let nodes = net.topology().len();
@@ -226,6 +503,16 @@ pub fn route_flows_into(
         backlog[bi] = backlog[bi].saturating_sub(amount);
         link_used[idx] = true;
     }
+    plan
+}
+
+/// The buffers of [`route_flows_reference`].
+#[derive(Default)]
+struct ReferenceScratch {
+    cap: Vec<(NodeId, NodeId, Packets)>,
+    backlog: Vec<Packets>,
+    combos: Vec<(f64, SessionId, usize)>,
+    link_used: Vec<bool>,
 }
 
 #[cfg(test)]

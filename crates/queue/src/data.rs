@@ -70,6 +70,13 @@ impl DataQueueBank {
     }
 
     fn idx(&self, i: NodeId, s: SessionId) -> usize {
+        assert!(
+            i.index() < self.nodes && s.index() < self.destinations.len(),
+            "queue ({i}, session {}) out of range for a bank over {} nodes and {} sessions",
+            s.index(),
+            self.nodes,
+            self.destinations.len()
+        );
         s.index() * self.nodes + i.index()
     }
 
@@ -180,6 +187,14 @@ impl DataQueueBank {
     /// `admissions` lists `(s, s_s(t), k_s(t))` — the packets the chosen
     /// source base station accepts from the Internet for each session.
     ///
+    /// Only the queues a flow or an admission touches are visited:
+    /// [`PacketQueue::advance`] with zero arrivals and zero service is an
+    /// exact identity, so skipping the rest changes nothing. Each touched
+    /// queue first takes its whole service `Σ_j l^s_ij` (the plan lists a
+    /// sender's flows contiguously) and then its arrivals one flow at a
+    /// time, which lands on the same backlog and counters as one
+    /// `advance(Σ_j l^s_ji, Σ_j l^s_ij)`.
+    ///
     /// # Panics
     ///
     /// Panics if the plan's dimensions disagree with the bank's, or an
@@ -191,22 +206,28 @@ impl DataQueueBank {
             self.destinations.len(),
             "plan/bank session mismatch"
         );
-        for s_idx in 0..self.destinations.len() {
-            let s = SessionId::from_index(s_idx);
-            let dest = self.destinations[s_idx];
-            for i_idx in 0..self.nodes {
-                let i = NodeId::from_index(i_idx);
-                let arrivals = plan.inflow(s, i);
-                if i == dest {
-                    // Delivered straight to the upper layers; no queue.
-                    self.delivered[s_idx] += arrivals;
-                    continue;
+        let mut sender = None;
+        let mut service = Packets::ZERO;
+        for (s, i, _, pkts) in plan.iter_nonzero() {
+            if sender != Some((s, i)) {
+                if let Some((s0, i0)) = sender {
+                    self.serve(s0, i0, service);
                 }
-                let service = plan.outflow(s, i);
-                let q = &mut self.queues[s_idx * self.nodes + i_idx];
-                let wasted_before = q.total_wasted();
-                q.advance(arrivals, service);
-                self.phantom_forwarded[s_idx] += Packets::new(q.total_wasted() - wasted_before);
+                sender = Some((s, i));
+                service = Packets::ZERO;
+            }
+            service += pkts;
+        }
+        if let Some((s0, i0)) = sender {
+            self.serve(s0, i0, service);
+        }
+        for (s, _, j, pkts) in plan.iter_nonzero() {
+            if j == self.destinations[s.index()] {
+                // Delivered straight to the upper layers; no queue.
+                self.delivered[s.index()] += pkts;
+            } else {
+                let idx = self.idx(j, s);
+                self.queues[idx].advance(pkts, Packets::ZERO);
             }
         }
         for &(s, source, k) in admissions {
@@ -219,6 +240,20 @@ impl DataQueueBank {
             // Admission joins *after* service, same as the +k_s term.
             self.queues[idx].advance(k, Packets::ZERO);
         }
+    }
+
+    /// Applies one slot's service `b` to `Q^s_i`, booking the truncated
+    /// part as phantom forwarding. A destination holds no queue for its
+    /// own session, so its outflow serves nothing.
+    fn serve(&mut self, s: SessionId, i: NodeId, b: Packets) {
+        if i == self.destinations[s.index()] {
+            return;
+        }
+        let idx = self.idx(i, s);
+        let q = &mut self.queues[idx];
+        let wasted_before = q.total_wasted();
+        q.advance(Packets::ZERO, b);
+        self.phantom_forwarded[s.index()] += Packets::new(q.total_wasted() - wasted_before);
     }
 }
 
@@ -345,6 +380,14 @@ mod tests {
             b.phantom_per_session().to_vec(),
         );
         b.restore(small.queues(), &delivered, &phantom);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn admission_at_an_out_of_range_node_panics() {
+        // Node 4 of a 4-node bank: a flat layout would alias (0, s1).
+        let mut b = bank();
+        b.advance(&FlowPlan::new(4, 2), &[(s(0), n(4), Packets::new(1))]);
     }
 
     #[test]

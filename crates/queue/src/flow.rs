@@ -3,12 +3,20 @@
 use greencell_net::{NodeId, SessionId};
 use greencell_units::Packets;
 
-/// A dense per-slot routing decision: `l^s_ij(t)` packets of session `s`
+/// A sparse per-slot routing decision: `l^s_ij(t)` packets of session `s`
 /// forwarded from node `i` to node `j`.
 ///
 /// Produced by the S3 routing subproblem and consumed by both queue banks:
 /// `Σ_j l^s_ij` is the service of data queue `Q^s_i`, `Σ_j l^s_ji` its
 /// arrivals, and `Σ_s l^s_ij` the arrivals of virtual link queue `G_ij`.
+///
+/// Only the non-zero entries are stored, in ascending `(s, i, j)` order, so
+/// a plan costs memory and time in proportion to the flows that move, not
+/// to `sessions × nodes²`. [`FlowPlan::iter_nonzero`] yields exactly that
+/// order — the row-major order of the dense `l^s_ij` array — which is the
+/// summation order of Ψ̂₃ and therefore part of the bit-identity contract.
+/// Writing zero removes an entry, so two plans with the same flows compare
+/// equal however they were built.
 ///
 /// # Examples
 ///
@@ -28,8 +36,9 @@ use greencell_units::Packets;
 pub struct FlowPlan {
     nodes: usize,
     sessions: usize,
-    /// `flows[s·n² + i·n + j]`.
-    flows: Vec<Packets>,
+    /// The non-zero `l^s_ij` as `(s, i, j, packets)`, ascending in
+    /// `(s, i, j)`.
+    entries: Vec<(SessionId, NodeId, NodeId, Packets)>,
 }
 
 impl FlowPlan {
@@ -39,7 +48,7 @@ impl FlowPlan {
         Self {
             nodes,
             sessions,
-            flows: vec![Packets::ZERO; sessions * nodes * nodes],
+            entries: Vec::new(),
         }
     }
 
@@ -51,8 +60,15 @@ impl FlowPlan {
     pub fn reset(&mut self, nodes: usize, sessions: usize) {
         self.nodes = nodes;
         self.sessions = sessions;
-        self.flows.clear();
-        self.flows.resize(sessions * nodes * nodes, Packets::ZERO);
+        self.entries.clear();
+    }
+
+    /// Makes room for `entries` non-zero flows in total, so filling the
+    /// plan up to that many never allocates; a no-op once the capacity is
+    /// there.
+    pub fn reserve(&mut self, entries: usize) {
+        self.entries
+            .reserve(entries.saturating_sub(self.entries.len()));
     }
 
     /// The empty 0×0 plan — the state a retained arena plan starts from
@@ -62,13 +78,22 @@ impl FlowPlan {
         Self::new(0, 0)
     }
 
-    fn idx(&self, s: SessionId, i: NodeId, j: NodeId) -> usize {
-        debug_assert!(s.index() < self.sessions, "session out of range");
-        debug_assert!(
-            i.index() < self.nodes && j.index() < self.nodes,
-            "node out of range"
+    /// Position of `(s, i, j)` in `entries`: `Ok` if stored, `Err` with the
+    /// insertion point otherwise.
+    fn find(&self, s: SessionId, i: NodeId, j: NodeId) -> Result<usize, usize> {
+        assert!(
+            s.index() < self.sessions,
+            "session {} out of range for a plan over {} sessions",
+            s.index(),
+            self.sessions
         );
-        s.index() * self.nodes * self.nodes + i.index() * self.nodes + j.index()
+        assert!(
+            i.index() < self.nodes && j.index() < self.nodes,
+            "link {i} → {j} out of range for a plan over {} nodes",
+            self.nodes
+        );
+        self.entries
+            .binary_search_by(|&(es, ei, ej, _)| (es, ei, ej).cmp(&(s, i, j)))
     }
 
     /// Number of nodes this plan spans.
@@ -90,31 +115,51 @@ impl FlowPlan {
     /// Panics if `i == j` (no self-loops) or any index is out of range.
     pub fn set(&mut self, s: SessionId, i: NodeId, j: NodeId, packets: Packets) {
         assert!(i != j, "self-loop flow {i} → {j}");
-        let idx = self.idx(s, i, j);
-        self.flows[idx] = packets;
+        match (self.find(s, i, j), packets == Packets::ZERO) {
+            (Ok(k), true) => {
+                self.entries.remove(k);
+            }
+            (Ok(k), false) => self.entries[k].3 = packets,
+            (Err(_), true) => {}
+            (Err(k), false) => self.entries.insert(k, (s, i, j, packets)),
+        }
     }
 
     /// Reads `l^s_ij`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
     #[must_use]
     pub fn get(&self, s: SessionId, i: NodeId, j: NodeId) -> Packets {
-        self.flows[self.idx(s, i, j)]
+        self.find(s, i, j)
+            .map_or(Packets::ZERO, |k| self.entries[k].3)
+    }
+
+    /// The stored entries of session `s`, ascending in `(i, j)`.
+    fn session_entries(&self, s: SessionId) -> &[(SessionId, NodeId, NodeId, Packets)] {
+        let lo = self.entries.partition_point(|e| e.0 < s);
+        let hi = self.entries.partition_point(|e| e.0 <= s);
+        &self.entries[lo..hi]
     }
 
     /// Total session-`s` packets leaving node `i`: `Σ_j l^s_ij`.
     #[must_use]
     pub fn outflow(&self, s: SessionId, i: NodeId) -> Packets {
-        (0..self.nodes)
-            .filter(|&j| j != i.index())
-            .map(|j| self.get(s, i, NodeId::from_index(j)))
+        self.session_entries(s)
+            .iter()
+            .filter(|e| e.1 == i)
+            .map(|e| e.3)
             .sum()
     }
 
     /// Total session-`s` packets entering node `i`: `Σ_j l^s_ji`.
     #[must_use]
     pub fn inflow(&self, s: SessionId, i: NodeId) -> Packets {
-        (0..self.nodes)
-            .filter(|&j| j != i.index())
-            .map(|j| self.get(s, NodeId::from_index(j), i))
+        self.session_entries(s)
+            .iter()
+            .filter(|e| e.2 == i)
+            .map(|e| e.3)
             .sum()
     }
 
@@ -122,35 +167,23 @@ impl FlowPlan {
     /// virtual queue `G_ij`.
     #[must_use]
     pub fn link_total(&self, i: NodeId, j: NodeId) -> Packets {
-        (0..self.sessions)
-            .map(|s| self.get(SessionId::from_index(s), i, j))
+        self.entries
+            .iter()
+            .filter(|e| e.1 == i && e.2 == j)
+            .map(|e| e.3)
             .sum()
     }
 
-    /// Iterates over all non-zero entries as `(s, i, j, packets)`.
+    /// Iterates over all non-zero entries as `(s, i, j, packets)`, in
+    /// ascending `(s, i, j)` order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (SessionId, NodeId, NodeId, Packets)> + '_ {
-        let n = self.nodes;
-        self.flows.iter().enumerate().filter_map(move |(idx, &p)| {
-            if p == Packets::ZERO {
-                None
-            } else {
-                let s = idx / (n * n);
-                let i = (idx / n) % n;
-                let j = idx % n;
-                Some((
-                    SessionId::from_index(s),
-                    NodeId::from_index(i),
-                    NodeId::from_index(j),
-                    p,
-                ))
-            }
-        })
+        self.entries.iter().copied()
     }
 
     /// Total packets moved anywhere this slot.
     #[must_use]
     pub fn total(&self) -> Packets {
-        self.flows.iter().copied().sum()
+        self.entries.iter().map(|e| e.3).sum()
     }
 }
 
@@ -204,6 +237,53 @@ mod tests {
         p.set(SessionId::from_index(0), ids(1), ids(2), Packets::new(2));
         p.reset(4, 2);
         assert_eq!(p, FlowPlan::new(4, 2));
+    }
+
+    #[test]
+    fn iter_nonzero_is_ascending_whatever_the_write_order() {
+        let mut p = FlowPlan::new(3, 2);
+        let keys = [(1, 0, 2), (0, 2, 1), (1, 0, 1), (0, 0, 2), (0, 2, 0)];
+        for (k, &(s, i, j)) in keys.iter().enumerate() {
+            p.set(
+                SessionId::from_index(s),
+                ids(i),
+                ids(j),
+                Packets::new(k as u64 + 1),
+            );
+        }
+        let listed: Vec<_> = p
+            .iter_nonzero()
+            .map(|(s, i, j, _)| (s.index(), i.index(), j.index()))
+            .collect();
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(listed, sorted);
+    }
+
+    #[test]
+    fn writing_zero_removes_the_entry() {
+        let s0 = SessionId::from_index(0);
+        let mut p = FlowPlan::new(3, 1);
+        p.set(s0, ids(0), ids(1), Packets::new(3));
+        p.set(s0, ids(0), ids(1), Packets::ZERO);
+        p.set(s0, ids(1), ids(2), Packets::ZERO);
+        assert_eq!(p, FlowPlan::new(3, 1));
+        assert_eq!(p.iter_nonzero().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_rejects_an_out_of_range_node() {
+        // Node 3 of a 3-node plan: a dense layout would alias (s, 1, 0).
+        let mut p = FlowPlan::new(3, 1);
+        p.set(SessionId::from_index(0), ids(0), ids(3), Packets::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn get_rejects_an_out_of_range_session() {
+        let p = FlowPlan::new(3, 1);
+        let _ = p.get(SessionId::from_index(1), ids(0), ids(1));
     }
 
     #[test]

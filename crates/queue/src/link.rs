@@ -18,6 +18,14 @@ use greencell_units::Packets;
 /// stores the integer `G` queues and exposes `H` as the exact product —
 /// strong stability of one is strong stability of the other.
 ///
+/// Besides the `n²` queues the bank keeps an index of the off-diagonal
+/// links whose backlog is non-zero, ascending in `(i, j)`. The index is
+/// exact — a link is listed if and only if `G_ij > 0` — at every point
+/// the bank can be observed: [`LinkQueueBank::advance`] maintains it and
+/// [`LinkQueueBank::restore`] rebuilds it. [`LinkQueueBank::backlogs`]
+/// and the link term of [`crate::lyapunov_value`] walk it, so both cost
+/// in proportion to the busy links and visit them in `(i, j)` order.
+///
 /// # Examples
 ///
 /// ```
@@ -41,6 +49,9 @@ pub struct LinkQueueBank {
     beta: f64,
     /// `queues[i·n + j]`; diagonal entries stay empty forever.
     queues: Vec<PacketQueue>,
+    /// Flat indices `i·n + j` of the non-empty off-diagonal queues,
+    /// ascending.
+    nonempty: Vec<usize>,
 }
 
 impl LinkQueueBank {
@@ -61,11 +72,18 @@ impl LinkQueueBank {
             nodes,
             beta,
             queues: vec![PacketQueue::new(); nodes * nodes],
+            // Sized to every off-diagonal link, so maintaining the index
+            // never allocates.
+            nonempty: Vec::with_capacity(nodes * nodes.saturating_sub(1)),
         }
     }
 
     fn idx(&self, i: NodeId, j: NodeId) -> usize {
-        debug_assert!(i.index() < self.nodes && j.index() < self.nodes);
+        assert!(
+            i.index() < self.nodes && j.index() < self.nodes,
+            "link {i} → {j} out of range for a bank over {} nodes",
+            self.nodes
+        );
         i.index() * self.nodes + j.index()
     }
 
@@ -116,19 +134,23 @@ impl LinkQueueBank {
     pub fn restore(&mut self, queues: &[PacketQueue]) {
         assert_eq!(queues.len(), self.queues.len(), "queue count mismatch");
         self.queues.copy_from_slice(queues);
+        let n = self.nodes;
+        self.nonempty.clear();
+        self.nonempty.extend(
+            (0..queues.len()).filter(|&k| k / n != k % n && queues[k].backlog() > Packets::ZERO),
+        );
     }
 
-    /// Iterates over the non-empty link queues as `(i, j, G_ij)`.
+    /// Iterates over the non-empty link queues as `(i, j, G_ij)`, ascending
+    /// in `(i, j)`.
     pub fn backlogs(&self) -> impl Iterator<Item = (NodeId, NodeId, Packets)> + '_ {
-        (0..self.nodes).flat_map(move |i| {
-            (0..self.nodes).filter_map(move |j| {
-                if i == j {
-                    return None;
-                }
-                let (a, b) = (NodeId::from_index(i), NodeId::from_index(j));
-                let g = self.g(a, b);
-                (g > Packets::ZERO).then_some((a, b, g))
-            })
+        let n = self.nodes;
+        self.nonempty.iter().map(move |&k| {
+            (
+                NodeId::from_index(k / n),
+                NodeId::from_index(k % n),
+                self.queues[k].backlog(),
+            )
         })
     }
 
@@ -136,10 +158,16 @@ impl LinkQueueBank {
     /// (sparse `(i, j, packets)` triples — unscheduled links serve zero),
     /// arrivals from the routing plan.
     ///
+    /// Only the links a service entry or a flow touches are visited: an
+    /// untouched queue would take `advance(0, 0)`, an exact identity. The
+    /// service lands first and the flows then arrive one session at a
+    /// time, which gives the same backlog and counters as one
+    /// `advance(Σ_s l^s_ij, served)` per link.
+    ///
     /// # Panics
     ///
     /// Panics if the plan's node count disagrees, a service triple repeats
-    /// a link, or `i == j`.
+    /// a link, names a node out of range, or has `i == j`.
     pub fn advance(&mut self, plan: &FlowPlan, service: &[(NodeId, NodeId, Packets)]) {
         assert_eq!(plan.node_count(), self.nodes, "plan/bank node mismatch");
         // Validate the sparse service list without a dense scratch map:
@@ -149,25 +177,32 @@ impl LinkQueueBank {
         for (k, &(i, j, _)) in service.iter().enumerate() {
             assert!(i != j, "self-loop service {i} → {j}");
             assert!(
+                i.index() < self.nodes && j.index() < self.nodes,
+                "service link {i} → {j} out of range for a bank over {} nodes",
+                self.nodes
+            );
+            assert!(
                 !service[..k].iter().any(|&(a, b, _)| a == i && b == j),
                 "duplicate service entry for link {i} → {j}"
             );
-            debug_assert!(i.index() < self.nodes && j.index() < self.nodes);
         }
-        for i_idx in 0..self.nodes {
-            for j_idx in 0..self.nodes {
-                if i_idx == j_idx {
-                    continue;
-                }
-                let (i, j) = (NodeId::from_index(i_idx), NodeId::from_index(j_idx));
-                let idx = self.idx(i, j);
-                let arrivals = plan.link_total(i, j);
-                let served = service
-                    .iter()
-                    .find(|&&(a, b, _)| a == i && b == j)
-                    .map_or(Packets::ZERO, |&(_, _, pkts)| pkts);
-                self.queues[idx].advance(arrivals, served);
+        for &(i, j, served) in service {
+            let idx = self.idx(i, j);
+            self.queues[idx].advance(Packets::ZERO, served);
+        }
+        // Only a served link can have emptied.
+        let queues = &self.queues;
+        self.nonempty
+            .retain(|&k| queues[k].backlog() > Packets::ZERO);
+        for (_, i, j, arrivals) in plan.iter_nonzero() {
+            let idx = self.idx(i, j);
+            let q = &mut self.queues[idx];
+            if q.backlog() == Packets::ZERO {
+                // Plan entries are non-zero, so the link joins the index.
+                let at = self.nonempty.partition_point(|&k| k < idx);
+                self.nonempty.insert(at, idx);
             }
+            q.advance(arrivals, Packets::ZERO);
         }
     }
 }
@@ -237,6 +272,42 @@ mod tests {
         let mut fresh = LinkQueueBank::new(3, 2.0);
         fresh.restore(bank.queues());
         assert_eq!(fresh, bank);
+    }
+
+    #[test]
+    fn backlogs_stay_ascending_as_links_fill_and_drain() {
+        let mut bank = LinkQueueBank::new(3, 1.0);
+        let mut plan = FlowPlan::new(3, 2);
+        plan.set(SessionId::from_index(1), n(0), n(1), Packets::new(2));
+        plan.set(SessionId::from_index(0), n(2), n(0), Packets::new(5));
+        plan.set(SessionId::from_index(0), n(1), n(2), Packets::new(1));
+        bank.advance(&plan, &[]);
+        let listed: Vec<_> = bank.backlogs().collect();
+        assert_eq!(
+            listed,
+            vec![
+                (n(0), n(1), Packets::new(2)),
+                (n(1), n(2), Packets::new(1)),
+                (n(2), n(0), Packets::new(5)),
+            ]
+        );
+        // Drain (1, 2) exactly while (0, 1) keeps filling.
+        let mut more = FlowPlan::new(3, 2);
+        more.set(SessionId::from_index(0), n(0), n(1), Packets::new(1));
+        bank.advance(&more, &[(n(1), n(2), Packets::new(1))]);
+        let listed: Vec<_> = bank.backlogs().map(|(i, j, _)| (i, j)).collect();
+        assert_eq!(listed, vec![(n(0), n(1)), (n(2), n(0))]);
+        let mut fresh = LinkQueueBank::new(3, 1.0);
+        fresh.restore(bank.queues());
+        assert_eq!(fresh, bank);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_service_panics() {
+        // Node 2 of a 2-node bank: a flat layout would alias link (1, 0).
+        let mut bank = LinkQueueBank::new(2, 1.0);
+        bank.advance(&FlowPlan::new(2, 1), &[(n(0), n(2), Packets::new(1))]);
     }
 
     #[test]

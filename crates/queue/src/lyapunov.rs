@@ -15,28 +15,18 @@ use greencell_stochastic::Series;
 #[must_use]
 pub fn lyapunov_value(data: &DataQueueBank, links: &LinkQueueBank, shifted_energy: &[f64]) -> f64 {
     let mut total = 0.0;
-    for s in 0..data.session_count() {
-        for i in 0..data.node_count() {
-            let q = data
-                .backlog(
-                    greencell_net::NodeId::from_index(i),
-                    greencell_net::SessionId::from_index(s),
-                )
-                .count_f64();
-            total += q * q;
-        }
+    // Session-major, the order of `Q^s_i` in the sum.
+    for queue in data.queues() {
+        let q = queue.backlog().count_f64();
+        total += q * q;
     }
-    let n = links.node_count();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let h = links.h(
-                    greencell_net::NodeId::from_index(i),
-                    greencell_net::NodeId::from_index(j),
-                );
-                total += h * h;
-            }
-        }
+    // Only the non-empty links: an empty one would add `H_ij² = +0.0`,
+    // which leaves the (never negative-zero) running total unchanged, so
+    // the sum is bit-identical to the full `(i, j)` double loop.
+    let beta = links.beta();
+    for (_, _, g) in links.backlogs() {
+        let h = beta * g.count_f64();
+        total += h * h;
     }
     for &z in shifted_energy {
         total += z * z;
