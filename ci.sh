@@ -68,8 +68,12 @@ echo "== snapshot equivalence gate =="
 # the on-disk image, restore, and replay — SlotReports, RunMetrics, and
 # watchdog verdicts must be bit-identical to the uninterrupted run across
 # all four fault archetypes and both schedulers, and corrupt/mismatched
-# snapshot files must surface as typed errors.
+# snapshot files must surface as typed errors. Fuzzed images (truncated,
+# bit-flipped, lines swapped) of all three codec containers — snapshot,
+# sweep manifest, sweep result — must be rejected with a typed error or
+# decode equal, never panic.
 cargo test -p greencell-sim --test snapshot_equivalence -q $CARGO_FLAGS
+cargo test -p greencell-sim --test codec_fuzz -q $CARGO_FLAGS
 
 echo "== networkstate equivalence gate =="
 # Dynamic network-state layer: inert policies (never-triggering sleep,
@@ -87,9 +91,11 @@ echo "== policy ablation gate =="
 cargo test -p greencell-sim --test policy_ablation -q $CARGO_FLAGS
 
 echo "== sweep resume gate =="
-# Resumable checkpointed sweeps: interrupt after k points, resume at any
-# worker count, byte-compare the deterministic stability report against a
-# one-shot sweep; corrupt checkpoints are quarantined, never trusted.
+# Resumable in-process sweeps over the distributed work dir: interrupt
+# after k points, resume at any thread count, byte-compare the
+# deterministic stability report against a one-shot sweep; a bit-flipped,
+# torn or stale result file is quarantined to p<i>.json.corrupt and only
+# its point is recomputed.
 cargo test -p greencell-sim --test sweep_resume -q $CARGO_FLAGS
 
 echo "== distributed sweep gate =="

@@ -46,14 +46,38 @@
 //! runs the same claim loop in-process to finish anything a crashed
 //! worker fleet left behind. Completion is therefore guaranteed whenever
 //! the points themselves are computable.
+//!
+//! # In-process resume
+//!
+//! [`run_sweep_checkpointed`] is the same work dir drained by threads of
+//! the calling process instead of worker processes: it prepares the dir,
+//! runs the salvage census, computes only the missing points through the
+//! in-process sweep pool (no claims — one driver owns the dir), writes
+//! each result as it lands, and merges in submission order. A sweep
+//! killed at any moment loses at most its in-flight points, and a rerun
+//! over the same dir — at any thread count, or later through
+//! [`run_sweep_distributed`] — reuses every verified result.
+//!
+//! Manifests and results are `sim::codec` containers; result
+//! payloads encode every number as hex bits, so a salvaged outcome —
+//! telemetry included — decodes to exactly what was computed.
 
-use crate::checkpoint::{entry_of, outcome_json, SavedEntry};
-use crate::faults::{FadeEvent, FaultSpec, MarkovFault, OutageScope, PriceSpike, SlotWindow};
+use crate::codec::{
+    arr, bool_of, corrupt, f64_of, fingerprint_debug, get, hex_f64, hex_u64, read_image, str_of,
+    u64_of, usize_of,
+};
+use crate::faults::{
+    FadeEvent, FaultSpec, MarkovFault, OutageScope, PriceSpike, SlotWindow, WatchdogReport,
+};
+use crate::fsio::{io_err, quarantine, write_text_atomic};
 use crate::scenario::{DemandModel, DiurnalProfile, GridModel, Placement, TouPricing};
-use crate::snapshot::{arr, f64_of, fingerprint_debug, fnv1a_64, get, hex_f64, hex_u64, u64_of};
-use crate::sweep::{json_escape, run_point, SweepPoint, SweepReport};
+use crate::snapshot::{metrics_json, metrics_of};
+use crate::sweep::{
+    json_escape, parallel_map_ordered, run_point, PointOutcome, RunTelemetry, SweepOptions,
+    SweepPoint, SweepReport,
+};
 use crate::{Architecture, Scenario, SimError};
-use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind};
+use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind, StageTimings};
 use greencell_trace::json::{parse, Value};
 use greencell_units::{DataRate, Energy, PacketSize, Packets, Power, TimeDelta};
 use std::path::{Path, PathBuf};
@@ -155,12 +179,20 @@ impl WorkerStats {
     }
 
     fn parse_str(text: &str) -> Result<Self, String> {
+        /// 2⁵³: the largest integer every larger one is inexact above.
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
         let v = parse(text.trim()).map_err(|e| format!("unparseable worker stats: {e}"))?;
         let count = |key: &str| -> Result<usize, String> {
             let x = get(&v, key)?
                 .as_f64()
                 .ok_or_else(|| format!("{key} is not a number"))?;
-            Ok(x as usize)
+            // Exact non-negative integers only: an `as` cast would turn
+            // 1e300 into usize::MAX and -3 into 0.
+            if x.fract() != 0.0 || !(0.0..=MAX_EXACT).contains(&x) {
+                return Err(format!("{key} = {x} is not a count"));
+            }
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            usize::try_from(x as u64).map_err(|e| format!("{key} overflows usize: {e}"))
         };
         Ok(Self {
             claimed: count("claimed")?,
@@ -185,6 +217,16 @@ pub struct DistribStats {
     pub requeued: usize,
     /// Worker processes that exited unsuccessfully (killed or errored).
     pub worker_failures: usize,
+}
+
+impl DistribStats {
+    /// Adds one worker's counters; `None` if a sum would overflow.
+    fn absorb(&mut self, ws: &WorkerStats) -> Option<()> {
+        self.computed = self.computed.checked_add(ws.computed)?;
+        self.steals = self.steals.checked_add(ws.steals)?;
+        self.requeued = self.requeued.checked_add(ws.requeued)?;
+        Some(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,14 +436,6 @@ pub fn scenario_json(s: &Scenario) -> String {
         hex_f64(s.gain_floor),
         hex_u64(s.seed),
     )
-}
-
-fn usize_of(v: &Value) -> Result<usize, String> {
-    u64_of(v).map(|x| x as usize)
-}
-
-fn str_of<'a>(v: &'a Value, what: &str) -> Result<&'a str, String> {
-    v.as_str().ok_or_else(|| format!("{what} must be a string"))
 }
 
 fn pairs_of(v: &Value) -> Result<Vec<(f64, f64)>, String> {
@@ -695,63 +729,134 @@ pub fn scenario_of(v: &Value) -> Result<Scenario, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Checksummed two-line containers (snapshot-style) for manifest/results.
+// Outcome codec (exact: u64 nanos, f64 bits) — the result-file payload.
 // ---------------------------------------------------------------------------
 
-fn container_wrap(format: &str, payload: &str) -> String {
-    let checksum = fnv1a_64(payload.as_bytes());
+fn duration_json(d: Duration) -> String {
+    hex_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+fn duration_of(v: &Value) -> Result<Duration, String> {
+    Ok(Duration::from_nanos(u64_of(v)?))
+}
+
+fn watchdog_report_json(w: &WatchdogReport) -> String {
     format!(
-        "{{\"format\":\"{format}\",\"version\":{DISTRIB_VERSION},\"checksum\":\"0x{checksum:016x}\"}}\n{payload}\n"
+        "[{},{},{},{},{},{},{}]",
+        hex_u64(w.slots as u64),
+        hex_f64(w.trailing_slope),
+        hex_f64(w.peak_backlog),
+        hex_f64(w.final_backlog),
+        hex_f64(w.battery_floor_kwh),
+        hex_u64(w.divergent_slots as u64),
+        w.stable,
     )
 }
 
-fn container_unwrap(format: &str, text: &str, path: &Path) -> Result<Value, SimError> {
-    let path_str = path.display().to_string();
-    let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path_str.clone(),
-        detail,
+fn watchdog_report_of(v: &Value) -> Result<WatchdogReport, String> {
+    let a = arr(v)?;
+    if a.len() != 7 {
+        return Err(format!("watchdog report has {} fields, need 7", a.len()));
+    }
+    Ok(WatchdogReport {
+        slots: usize_of(&a[0])?,
+        trailing_slope: f64_of(&a[1])?,
+        peak_backlog: f64_of(&a[2])?,
+        final_backlog: f64_of(&a[3])?,
+        battery_floor_kwh: f64_of(&a[4])?,
+        divergent_slots: usize_of(&a[5])?,
+        stable: bool_of(&a[6])?,
+    })
+}
+
+fn telemetry_json(t: &RunTelemetry) -> String {
+    let s = &t.stages;
+    format!(
+        "{{\"slots\":{},\"wall_ns\":{},\"slots_per_sec\":{},\"stages\":[{},{},{},{},{}],\"final_backlog_bs\":{},\"final_backlog_users\":{},\"final_buffer_bs_kwh\":{},\"final_buffer_users_wh\":{},\"degraded_slots\":{},\"degradation_events\":{},\"watchdog\":{}}}",
+        hex_u64(t.slots as u64),
+        duration_json(t.wall),
+        hex_f64(t.slots_per_sec),
+        duration_json(s.s1),
+        duration_json(s.s2),
+        duration_json(s.s3),
+        duration_json(s.s4),
+        hex_u64(s.slots),
+        hex_f64(t.final_backlog_bs),
+        hex_f64(t.final_backlog_users),
+        hex_f64(t.final_buffer_bs_kwh),
+        hex_f64(t.final_buffer_users_wh),
+        hex_u64(t.degraded_slots),
+        hex_u64(t.degradation_events),
+        watchdog_report_json(&t.watchdog),
+    )
+}
+
+fn telemetry_of(v: &Value) -> Result<RunTelemetry, String> {
+    let stages = arr(get(v, "stages")?)?;
+    if stages.len() != 5 {
+        return Err(format!(
+            "stage timings have {} fields, need 5",
+            stages.len()
+        ));
+    }
+    Ok(RunTelemetry {
+        slots: usize_of(get(v, "slots")?)?,
+        wall: duration_of(get(v, "wall_ns")?)?,
+        slots_per_sec: f64_of(get(v, "slots_per_sec")?)?,
+        stages: StageTimings {
+            s1: duration_of(&stages[0])?,
+            s2: duration_of(&stages[1])?,
+            s3: duration_of(&stages[2])?,
+            s4: duration_of(&stages[3])?,
+            slots: u64_of(&stages[4])?,
+        },
+        final_backlog_bs: f64_of(get(v, "final_backlog_bs")?)?,
+        final_backlog_users: f64_of(get(v, "final_backlog_users")?)?,
+        final_buffer_bs_kwh: f64_of(get(v, "final_buffer_bs_kwh")?)?,
+        final_buffer_users_wh: f64_of(get(v, "final_buffer_users_wh")?)?,
+        degraded_slots: u64_of(get(v, "degraded_slots")?)?,
+        degradation_events: u64_of(get(v, "degradation_events")?)?,
+        watchdog: watchdog_report_of(get(v, "watchdog")?)?,
+    })
+}
+
+fn outcome_json(fp: u64, o: &PointOutcome) -> String {
+    format!(
+        "{{\"label\":\"{}\",\"seed\":{},\"scenario_fp\":{},\"penalty_b\":{},\"relaxed_admitted\":{},\"telemetry\":{},\"metrics\":{}}}",
+        json_escape(&o.label),
+        hex_u64(o.seed),
+        hex_u64(fp),
+        hex_f64(o.penalty_b),
+        o.relaxed_admitted
+            .map_or_else(|| "null".to_string(), hex_f64),
+        telemetry_json(&o.telemetry),
+        metrics_json(&o.metrics),
+    )
+}
+
+/// A decoded result file: the outcome plus the scenario fingerprint it
+/// was computed under.
+struct SavedEntry {
+    scenario_fp: u64,
+    outcome: PointOutcome,
+}
+
+fn entry_of(v: &Value) -> Result<SavedEntry, String> {
+    let relaxed_admitted = match get(v, "relaxed_admitted")? {
+        Value::Null => None,
+        other => Some(f64_of(other)?),
     };
-    let (header_line, rest) = text
-        .split_once('\n')
-        .ok_or_else(|| corrupt("missing payload line".to_string()))?;
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
-    if payload.contains('\n') {
-        return Err(corrupt("more than two lines".to_string()));
-    }
-    let header = parse(header_line).map_err(|e| corrupt(format!("unparseable header: {e}")))?;
-    match header.get("format").and_then(Value::as_str) {
-        Some(tag) if tag == format => {}
-        Some(other) => return Err(corrupt(format!("format is `{other}`, expected `{format}`"))),
-        None => return Err(corrupt("header has no format tag".to_string())),
-    }
-    let version = header
-        .get("version")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| corrupt("header has no version".to_string()))?;
-    if version != f64::from(DISTRIB_VERSION) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let found = if version.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&version) {
-            version as u32
-        } else {
-            return Err(corrupt(format!("version `{version}` is not a u32")));
-        };
-        return Err(SimError::SnapshotVersionMismatch {
-            path: path_str,
-            expected: DISTRIB_VERSION,
-            found,
-        });
-    }
-    let declared = header
-        .get("checksum")
-        .ok_or_else(|| corrupt("header has no checksum".to_string()))
-        .and_then(|v| u64_of(v).map_err(|e| corrupt(format!("bad checksum field: {e}"))))?;
-    let actual = fnv1a_64(payload.as_bytes());
-    if declared != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch: header declares 0x{declared:016x}, payload hashes to 0x{actual:016x}"
-        )));
-    }
-    parse(payload).map_err(|e| corrupt(format!("unparseable payload: {e}")))
+    Ok(SavedEntry {
+        scenario_fp: u64_of(get(v, "scenario_fp")?)?,
+        outcome: PointOutcome {
+            label: str_of(get(v, "label")?, "label")?.to_string(),
+            seed: u64_of(get(v, "seed")?)?,
+            metrics: metrics_of(get(v, "metrics")?)?,
+            telemetry: telemetry_of(get(v, "telemetry")?)?,
+            penalty_b: f64_of(get(v, "penalty_b")?)?,
+            relaxed_admitted,
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -782,10 +887,6 @@ fn result_path(work_dir: &Path, idx: usize) -> PathBuf {
     results_dir(work_dir).join(format!("p{idx}.json"))
 }
 
-fn io_err(path: &Path, e: &dyn std::fmt::Display) -> SimError {
-    SimError::Io(format!("{}: {e}", path.display()))
-}
-
 /// One decoded manifest entry.
 struct ManifestPoint {
     label: String,
@@ -806,8 +907,9 @@ fn manifest_string(points: &[SweepPoint], fingerprints: &[u64]) -> String {
             )
         })
         .collect();
-    container_wrap(
+    crate::codec::wrap(
         MANIFEST_FORMAT,
+        DISTRIB_VERSION,
         &format!("{{\"points\":[{}]}}", rows.join(",")),
     )
 }
@@ -817,12 +919,10 @@ fn manifest_string(points: &[SweepPoint], fingerprints: &[u64]) -> String {
 /// disagrees with the driver's refuses to compute anything.
 fn read_manifest(work_dir: &Path) -> Result<Vec<ManifestPoint>, SimError> {
     let path = manifest_path(work_dir);
-    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-    let value = container_unwrap(MANIFEST_FORMAT, &text, &path)?;
-    let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path.display().to_string(),
-        detail,
-    };
+    let text = read_image(&path).map_err(|e| io_err(&path, &e))?;
+    let path = path.display().to_string();
+    let value = crate::codec::unwrap(MANIFEST_FORMAT, DISTRIB_VERSION, &text, &path)?;
+    let corrupt = corrupt(&path);
     let rows = arr(get(&value, "points").map_err(&corrupt)?).map_err(&corrupt)?;
     let mut points = Vec::with_capacity(rows.len());
     for (idx, row) in rows.iter().enumerate() {
@@ -850,19 +950,22 @@ fn read_manifest(work_dir: &Path) -> Result<Vec<ManifestPoint>, SimError> {
 }
 
 /// Parses `results/p<idx>.json` and validates it against the manifest
-/// point. `Err` means the file exists but cannot be trusted.
+/// point. `Ok(None)` means the point has no result yet; `Err` means the
+/// file is there but cannot be trusted.
 fn read_result(
     work_dir: &Path,
     idx: usize,
     expect: &ManifestPoint,
-) -> Result<SavedEntry, SimError> {
+) -> Result<Option<SavedEntry>, SimError> {
     let path = result_path(work_dir, idx);
-    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-    let value = container_unwrap(RESULT_FORMAT, &text, &path)?;
-    let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path.display().to_string(),
-        detail,
+    let text = match read_image(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(&path, &e)),
     };
+    let path = path.display().to_string();
+    let value = crate::codec::unwrap(RESULT_FORMAT, DISTRIB_VERSION, &text, &path)?;
+    let corrupt = corrupt(&path);
     let entry = entry_of(&value).map_err(&corrupt)?;
     if entry.outcome.label != expect.label
         || entry.outcome.seed != expect.scenario.seed
@@ -879,27 +982,31 @@ fn read_result(
             expect.scenario_fp,
         )));
     }
-    Ok(entry)
+    Ok(Some(entry))
 }
 
-/// Whether a missing-file error (point not yet computed) vs a real error.
-fn is_not_found(e: &SimError) -> bool {
-    matches!(e, SimError::Io(msg) if msg.contains("No such file")
-        || msg.contains("kind: NotFound")
-        || msg.contains("(os error 2)"))
+/// Atomically writes point `idx`'s outcome as `results/p<idx>.json`.
+fn write_result(
+    work_dir: &Path,
+    idx: usize,
+    point: &ManifestPoint,
+    outcome: &PointOutcome,
+) -> Result<(), SimError> {
+    let path = result_path(work_dir, idx);
+    let payload = outcome_json(point.scenario_fp, outcome);
+    write_text_atomic(
+        &path,
+        &crate::codec::wrap(RESULT_FORMAT, DISTRIB_VERSION, &payload),
+    )
+    .map_err(|e| io_err(&path, &e))
 }
 
 /// Renames a bad result file to `<name>.corrupt` (never re-read as a
 /// result) and clears any claim so the point can be re-claimed.
 fn quarantine_result(work_dir: &Path, idx: usize, worker_id: &str, nonce: usize) {
-    let path = result_path(work_dir, idx);
-    let mut name = path
-        .file_name()
-        .map_or_else(|| "result".into(), std::ffi::OsStr::to_os_string);
-    name.push(".corrupt");
     // Best-effort: a concurrent quarantine of the same file is fine —
     // exactly one rename wins, the loser sees NotFound.
-    let _ = std::fs::rename(&path, path.with_file_name(name));
+    let _ = quarantine(&result_path(work_dir, idx));
     // The claim (if any) belonged to whoever wrote the bad result; retire
     // it through the same single-winner rename the steal path uses.
     let claim = claim_path(work_dir, idx);
@@ -983,7 +1090,7 @@ fn try_steal(
         return false;
     }
     // Fresh claim marks the new owner and restarts the staleness clock.
-    let _ = crate::fsio::write_text_atomic(&claim, &format!("{worker_id} (stolen)\n"));
+    let _ = write_text_atomic(&claim, &format!("{worker_id} (stolen)\n"));
     true
 }
 
@@ -1021,11 +1128,11 @@ pub fn run_worker(
             }
             // Result already there? Validate once; quarantine if bad.
             match read_result(work_dir, idx, point) {
-                Ok(_) => {
+                Ok(Some(_)) => {
                     verified[idx] = true;
                     continue;
                 }
-                Err(e) if is_not_found(&e) => {}
+                Ok(None) => {}
                 Err(_) => {
                     nonce += 1;
                     quarantine_result(work_dir, idx, worker_id, nonce);
@@ -1050,11 +1157,12 @@ pub fn run_worker(
             if !owned {
                 continue;
             }
-            let outcome = run_point(&point.label, &point.scenario)?;
-            let payload = outcome_json(point.scenario_fp, &outcome);
-            let path = result_path(work_dir, idx);
-            crate::fsio::write_text_atomic(&path, &container_wrap(RESULT_FORMAT, &payload))
-                .map_err(|e| io_err(&path, &e))?;
+            write_result(
+                work_dir,
+                idx,
+                point,
+                &run_point(&point.label, &point.scenario)?,
+            )?;
             stats.computed += 1;
             verified[idx] = true;
             progress = true;
@@ -1070,7 +1178,7 @@ pub fn run_worker(
     }
 
     let path = stats_dir(work_dir).join(format!("{worker_id}.json"));
-    crate::fsio::write_text_atomic(&path, &stats.json()).map_err(|e| io_err(&path, &e))?;
+    write_text_atomic(&path, &stats.json()).map_err(|e| io_err(&path, &e))?;
     Ok(stats)
 }
 
@@ -1135,7 +1243,45 @@ pub fn prepare_work_dir(points: &[SweepPoint], work_dir: &Path) -> Result<(), Si
         .collect();
     let manifest = manifest_string(points, &fingerprints);
     let path = manifest_path(work_dir);
-    crate::fsio::write_text_atomic(&path, &manifest).map_err(|e| io_err(&path, &e))
+    write_text_atomic(&path, &manifest).map_err(|e| io_err(&path, &e))
+}
+
+/// Salvage census: validates every result a previous run left in
+/// `work_dir` against the manifest, counting the good ones as salvaged
+/// and quarantining (and counting as requeued) the ones that cannot be
+/// trusted. Returns the indices that still need computing.
+fn salvage_census(
+    work_dir: &Path,
+    manifest: &[ManifestPoint],
+    stats: &mut DistribStats,
+) -> Vec<usize> {
+    let mut missing = Vec::new();
+    for (idx, point) in manifest.iter().enumerate() {
+        match read_result(work_dir, idx, point) {
+            Ok(Some(_)) => stats.salvaged += 1,
+            Ok(None) => missing.push(idx),
+            Err(_) => {
+                quarantine_result(work_dir, idx, "driver", idx);
+                stats.requeued += 1;
+                missing.push(idx);
+            }
+        }
+    }
+    missing
+}
+
+/// Reads every point's result back in submission order — strict: each
+/// one must be present and valid.
+fn merge(work_dir: &Path, manifest: &[ManifestPoint]) -> Result<Vec<PointOutcome>, SimError> {
+    manifest
+        .iter()
+        .enumerate()
+        .map(|(idx, point)| {
+            read_result(work_dir, idx, point)?
+                .map(|entry| entry.outcome)
+                .ok_or_else(|| io_err(&result_path(work_dir, idx), &"result file missing"))
+        })
+        .collect()
 }
 
 /// Like [`run_sweep_distributed`], but also reports salvage/steal/requeue
@@ -1159,17 +1305,8 @@ pub fn run_sweep_distributed_stats(
 
     // Salvage census: validate pre-existing results now so the stats are
     // honest; bad files are quarantined before any worker sees them.
-    let manifest_points = read_manifest(work_dir)?;
-    for (idx, point) in manifest_points.iter().enumerate() {
-        match read_result(work_dir, idx, point) {
-            Ok(_) => stats.salvaged += 1,
-            Err(e) if is_not_found(&e) => {}
-            Err(_) => {
-                quarantine_result(work_dir, idx, "driver", idx);
-                stats.requeued += 1;
-            }
-        }
-    }
+    let manifest = read_manifest(work_dir)?;
+    salvage_census(work_dir, &manifest, &mut stats);
 
     // Spawn the worker fleet.
     let mut children = Vec::with_capacity(opts.workers);
@@ -1203,35 +1340,30 @@ pub fn run_sweep_distributed_stats(
     // sweep in-process. Also re-surfaces a failing point's error
     // deterministically instead of reporting a silent short merge.
     let salvage = run_worker(work_dir, "driver", Duration::ZERO, opts.poll)?;
-    stats.computed += salvage.computed;
-    stats.steals += salvage.steals;
-    stats.requeued += salvage.requeued;
+    // This process's own counters: bounded by its work, they cannot
+    // overflow the sum.
+    let _ = stats.absorb(&salvage);
 
     // Aggregate worker stats (the driver's own salvage pass wrote
     // `stats/driver.json` too; it is already counted above, so skip it).
     for w in 0..opts.workers {
         let path = stats_dir(work_dir).join(format!("w{w}.json"));
-        let Ok(text) = std::fs::read_to_string(&path) else {
+        let Ok(text) = read_image(&path) else {
             continue; // killed before writing stats; its work was stolen
         };
-        let ws = WorkerStats::parse_str(&text).map_err(|e| SimError::CorruptSnapshot {
-            path: path.display().to_string(),
-            detail: e,
-        })?;
-        stats.computed += ws.computed;
-        stats.steals += ws.steals;
-        stats.requeued += ws.requeued;
+        let path = path.display().to_string();
+        let corrupt = corrupt(&path);
+        let ws = WorkerStats::parse_str(&text).map_err(&corrupt)?;
+        stats
+            .absorb(&ws)
+            .ok_or_else(|| corrupt("counters overflow when summed".to_string()))?;
     }
 
     // Merge in submission order — strict now: everything must be present
     // and valid after the salvage pass.
-    let mut outcomes = Vec::with_capacity(points.len());
-    for (idx, point) in manifest_points.iter().enumerate() {
-        outcomes.push(read_result(work_dir, idx, point)?.outcome);
-    }
     Ok((
         SweepReport {
-            outcomes,
+            outcomes: merge(work_dir, &manifest)?,
             threads: opts.workers,
             total_wall: start.elapsed(),
         },
@@ -1254,6 +1386,69 @@ pub fn run_sweep_distributed(
     work_dir: &Path,
 ) -> Result<SweepReport, SimError> {
     run_sweep_distributed_stats(points, opts, work_dir).map(|(report, _)| report)
+}
+
+/// Like [`run_sweep_checkpointed`], but also reports what was salvaged,
+/// computed and quarantined. Only `salvaged`, `computed` and `requeued`
+/// can be non-zero: there are no claims to steal and no worker processes.
+///
+/// # Errors
+///
+/// Returns the first (by submission order) point failure, a manifest
+/// validation error, or an I/O error on the work dir. A corrupt, torn or
+/// stale result file is not an error: it is quarantined to
+/// `p<i>.json.corrupt` and its point recomputed.
+pub fn run_sweep_checkpointed_stats(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    work_dir: &Path,
+) -> Result<(SweepReport, DistribStats), SimError> {
+    let start = Instant::now();
+    let mut stats = DistribStats::default();
+    prepare_work_dir(points, work_dir)?;
+    let manifest = read_manifest(work_dir)?;
+    let missing = salvage_census(work_dir, &manifest, &mut stats);
+    stats.computed = missing.len();
+    // One driver owns the work dir, so the missing points need no claims:
+    // the sweep pool computes them and each result lands on disk as it
+    // finishes. Collecting in submission order returns the first failure.
+    parallel_map_ordered(missing, opts.threads, |_, idx| {
+        let point = &manifest[idx];
+        write_result(
+            work_dir,
+            idx,
+            point,
+            &run_point(&point.label, &point.scenario)?,
+        )
+    })
+    .into_iter()
+    .collect::<Result<(), SimError>>()?;
+    Ok((
+        SweepReport {
+            outcomes: merge(work_dir, &manifest)?,
+            threads: opts.threads,
+            total_wall: start.elapsed(),
+        },
+        stats,
+    ))
+}
+
+/// [`crate::sweep::run_sweep`] with crash-safe resume through `work_dir`,
+/// the same store [`run_sweep_distributed`] uses: every completed point
+/// persists to `results/p<i>.json` (atomically, checksummed) as it lands,
+/// and a rerun salvages the verified results and computes only what is
+/// missing. Final reports are byte-identical to a never-interrupted sweep
+/// at any thread count.
+///
+/// # Errors
+///
+/// See [`run_sweep_checkpointed_stats`].
+pub fn run_sweep_checkpointed(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    work_dir: &Path,
+) -> Result<SweepReport, SimError> {
+    run_sweep_checkpointed_stats(points, opts, work_dir).map(|(report, _)| report)
 }
 
 #[cfg(test)]
@@ -1360,6 +1555,137 @@ mod tests {
             matches!(err, SimError::InvalidConfig { ref detail } if detail.contains("empty")),
             "got {err:?}"
         );
+    }
+
+    /// A result outcome with every field set to a fixed, non-trivial
+    /// value (metrics from a deterministic run, telemetry by hand).
+    fn pinned_outcome() -> (Scenario, PointOutcome) {
+        let scenario = Scenario::tiny(7);
+        let metrics = crate::Simulator::new(&scenario)
+            .expect("builds")
+            .run()
+            .expect("runs")
+            .clone();
+        let outcome = PointOutcome {
+            label: "pinned \"point\"".to_string(),
+            seed: scenario.seed,
+            metrics,
+            telemetry: RunTelemetry {
+                slots: 12,
+                wall: Duration::from_nanos(1_234_567),
+                slots_per_sec: 9_720.5,
+                stages: StageTimings {
+                    s1: Duration::from_nanos(11),
+                    s2: Duration::from_nanos(22),
+                    s3: Duration::from_nanos(33),
+                    s4: Duration::from_nanos(44),
+                    slots: 12,
+                },
+                final_backlog_bs: 3.5,
+                final_backlog_users: -0.0,
+                final_buffer_bs_kwh: 0.125,
+                final_buffer_users_wh: f64::MIN_POSITIVE,
+                degraded_slots: 2,
+                degradation_events: 5,
+                watchdog: WatchdogReport {
+                    slots: 12,
+                    trailing_slope: -1.5,
+                    peak_backlog: 40.0,
+                    final_backlog: 3.5,
+                    battery_floor_kwh: 0.01,
+                    divergent_slots: 1,
+                    stable: true,
+                },
+            },
+            penalty_b: 1.0e6,
+            relaxed_admitted: Some(2.25),
+        };
+        (scenario, outcome)
+    }
+
+    /// Format pin: the FNV-1a of a snapshot, a manifest and a result
+    /// image, recorded before the three containers were folded into
+    /// `codec`. Any byte that moves in any of the three file formats
+    /// fails here.
+    #[test]
+    fn file_images_are_pinned() {
+        let mut sim = crate::Simulator::new(&Scenario::paper(42)).expect("builds");
+        for _ in 0..20 {
+            sim.step().expect("slot steps");
+        }
+        let snapshot = sim.snapshot().to_file_string();
+
+        // The point list of `tests/sweep_resume.rs`.
+        let points: Vec<SweepPoint> = (0..5)
+            .map(|i| {
+                let mut s = Scenario::tiny(crate::derive_point_seed(90, i as u64));
+                s.horizon = 10 + 2 * (i % 3);
+                s.v *= (i + 1) as f64;
+                SweepPoint::new(format!("point-{i}"), s)
+            })
+            .collect();
+        let fingerprints: Vec<u64> = points
+            .iter()
+            .map(|p| fingerprint_debug(&p.scenario))
+            .collect();
+        let manifest = manifest_string(&points, &fingerprints);
+
+        let (scenario, outcome) = pinned_outcome();
+        let result = crate::codec::wrap(
+            RESULT_FORMAT,
+            DISTRIB_VERSION,
+            &outcome_json(fingerprint_debug(&scenario), &outcome),
+        );
+
+        let pin = |image: &str| (crate::fnv1a_64(image.as_bytes()), image.len());
+        assert_eq!(pin(&snapshot), (0x4527_24e8_330c_667a, 59_672), "snapshot");
+        assert_eq!(pin(&manifest), (0x8882_b4e6_7148_4496, 9_402), "manifest");
+        assert_eq!(pin(&result), (0x231a_5f0b_4f09_06ee, 5_483), "result");
+
+        // And the result image decodes back to the same outcome.
+        let value = crate::codec::unwrap(RESULT_FORMAT, DISTRIB_VERSION, &result, "pin")
+            .expect("valid image");
+        assert_eq!(entry_of(&value).expect("decodes").outcome, outcome);
+    }
+
+    #[test]
+    fn worker_stats_accept_only_exact_counts() {
+        let ok = WorkerStats::parse_str(
+            "{\"claimed\":1,\"computed\":2,\"steals\":0,\"requeued\":9007199254740992}",
+        )
+        .expect("exact counts decode");
+        assert_eq!(ok.requeued, 1 << 53);
+        for bad in ["1e300", "-3", "2.5", "9007199254740994", "\"7\"", "null"] {
+            let text = format!("{{\"claimed\":0,\"computed\":{bad},\"steals\":0,\"requeued\":0}}");
+            assert!(
+                WorkerStats::parse_str(&text).is_err(),
+                "`{bad}` must not decode as a count"
+            );
+        }
+    }
+
+    /// Regression: a stand-in worker that writes a hostile
+    /// `stats/<worker>.json` used to overflow the driver's `+=`.
+    #[cfg(unix)]
+    #[test]
+    fn hostile_worker_stats_are_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("greencell-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The driver appends `--dir <dir> --id <id> ...`: $2 and $4.
+        let script = "printf '{\"claimed\":0,\"computed\":1e300,\"steals\":0,\"requeued\":0}\\n' \
+                      > \"$2/stats/$4.json\"";
+        let worker = WorkerCommand::new("sh", vec!["-c".into(), script.into(), "stand-in".into()]);
+        let points = vec![SweepPoint::new("p0", Scenario::tiny(5))];
+        let err = run_sweep_distributed_stats(&points, &DistribOptions::new(1, worker), &dir)
+            .expect_err("hostile stats must be rejected");
+        match err {
+            SimError::CorruptSnapshot { path, detail } => {
+                assert!(path.ends_with("w0.json"), "{path}");
+                assert!(detail.contains("computed"), "{detail}");
+            }
+            other => panic!("expected CorruptSnapshot, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum SimError {
     /// Results could not be serialized (e.g. mismatched series lengths in
     /// a CSV block).
     Serialize(String),
-    /// A snapshot or checkpoint file failed validation — torn write,
+    /// A snapshot, sweep manifest or sweep result file failed validation — torn write,
     /// checksum mismatch, malformed payload, or state that contradicts the
     /// scenario it claims to belong to. The file is unusable but the error
     /// is recoverable: callers quarantine the file and fall back to an

@@ -19,8 +19,8 @@
 //! multi-process work-stealing driver ([`FrontierEngine::Distributed`],
 //! see [`crate::distrib`]) — the two produce identical maps.
 
+use crate::codec::fingerprint_debug;
 use crate::distrib::{run_sweep_distributed, DistribOptions};
-use crate::snapshot::fingerprint_debug;
 use crate::sweep::{json_f64, run_sweep, PointOutcome, SweepOptions, SweepPoint};
 use crate::{Scenario, SimError};
 use std::path::PathBuf;

@@ -1,11 +1,13 @@
-//! Crash-safe file output: atomic temp-file + rename writes.
+//! Crash-safe file handling: atomic temp-file + rename writes, and
+//! quarantine of files that fail validation.
 //!
 //! Every artifact the workspace persists — sweep telemetry, trace
-//! bundles, snapshots, checkpoints — goes through
-//! [`write_text_atomic`], so a crash mid-write can never leave a
+//! bundles, snapshots, sweep manifests and per-point results — goes
+//! through [`write_text_atomic`], so a crash mid-write can never leave a
 //! half-written file at the destination path: readers either see the old
 //! contents or the complete new contents, never a torn prefix.
 
+use crate::SimError;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -47,6 +49,24 @@ pub fn write_text_atomic(path: &Path, text: &str) -> std::io::Result<()> {
         let _ = fs::remove_file(&tmp);
     }
     result
+}
+
+/// A [`SimError::Io`] naming the file it happened to.
+pub(crate) fn io_err(path: &Path, e: &dyn std::fmt::Display) -> SimError {
+    SimError::Io(format!("{}: {e}", path.display()))
+}
+
+/// Moves a file that failed validation aside as `<name>.corrupt`, where
+/// it is kept for inspection but never read again, and returns its new
+/// path.
+pub(crate) fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
+    let mut name = path
+        .file_name()
+        .map_or_else(|| "file".into(), std::ffi::OsStr::to_os_string);
+    name.push(".corrupt");
+    let target = path.with_file_name(name);
+    fs::rename(path, &target)?;
+    Ok(target)
 }
 
 #[cfg(test)]

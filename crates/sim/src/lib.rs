@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 mod arch;
-pub mod checkpoint;
+mod codec;
 pub mod distrib;
 mod engine;
 pub mod experiments;
@@ -48,13 +48,11 @@ pub mod sweep;
 pub mod trace;
 
 pub use arch::Architecture;
-pub use checkpoint::{
-    run_sweep_checkpointed, run_sweep_checkpointed_stats, CheckpointStats, CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-};
+pub use codec::fnv1a_64;
 pub use distrib::{
-    prepare_work_dir, run_sweep_distributed, run_sweep_distributed_stats, run_worker,
-    DistribOptions, DistribStats, WorkerCommand, WorkerStats,
+    prepare_work_dir, run_sweep_checkpointed, run_sweep_checkpointed_stats, run_sweep_distributed,
+    run_sweep_distributed_stats, run_worker, DistribOptions, DistribStats, WorkerCommand,
+    WorkerStats,
 };
 pub use engine::{SimError, Simulator};
 pub use faults::{FaultPlan, FaultSpec, StabilityWatchdog, WatchdogReport, WatchdogState};
@@ -68,7 +66,7 @@ pub use scenario::{
     DemandModel, DiurnalProfile, GridModel, Placement, Scenario, ScenarioLayout, TouPricing,
 };
 pub use serve::{run_serve, ServeConfig, ServeSummary, StopReason, SNAP_LATEST, SNAP_PREV};
-pub use snapshot::{fnv1a_64, SimSnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
+pub use snapshot::{SimSnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use sweep::{
     derive_point_seed, run_point, run_point_traced, run_sweep, run_sweep_reseeded,
     run_sweep_traced, write_telemetry, PointOutcome, RunTelemetry, SweepOptions, SweepPoint,

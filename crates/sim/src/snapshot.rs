@@ -24,33 +24,34 @@
 //!
 //! # File format
 //!
-//! Exactly two lines of JSON (parse with the workspace's strict
-//! dependency-free parser):
+//! The `sim::codec` container with the `greencell-snapshot` tag and
+//! version [`SNAPSHOT_VERSION`]:
 //!
 //! ```text
-//! {"format":"greencell-snapshot","version":1,"checksum":"0x<fnv1a64>"}
+//! {"format":"greencell-snapshot","version":2,"checksum":"0x<fnv1a64>"}
 //! {...payload...}
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the payload line's exact bytes, so a
-//! torn write fails closed. The payload encodes every `u64` (RNG words,
-//! counters) and every exact `f64` (queue levels, series samples — as
-//! `f64::to_bits`) as `"0x%016x"` hex strings, because the JSON parser
-//! reads plain numbers as `f64` and would silently round anything above
-//! 2⁵³. Files are written atomically (temp sibling + rename, see
-//! [`crate::fsio`]); validation failures surface as typed
-//! [`SimError::CorruptSnapshot`] / [`SimError::SnapshotVersionMismatch`]
-//! — never a panic — so callers can quarantine the file and fall back.
+//! The payload encodes every `u64` (RNG words, counters) and every exact
+//! `f64` (queue levels, series samples) as hex bit patterns. Files are
+//! written atomically (temp sibling + rename, see [`crate::fsio`]);
+//! validation failures surface as typed [`SimError::CorruptSnapshot`] /
+//! [`SimError::SnapshotVersionMismatch`] — never a panic — so callers can
+//! quarantine the file and fall back.
 
+use crate::codec::{
+    arr, bool_of, f64_list_of, f64_of, fingerprint_debug, get, hex_f64, hex_f64_list, hex_u64,
+    hex_u64_list, series_of, u64_list_of, u64_of, usize_of,
+};
 use crate::faults::WatchdogState;
+use crate::fsio::io_err;
 use crate::{GridModel, RunMetrics, Scenario, SimError, Simulator};
 use greencell_core::{ControllerState, RelaxedState};
 use greencell_energy::Battery;
 use greencell_queue::PacketQueue;
-use greencell_stochastic::{MarkovOnOff, Rng, Series};
-use greencell_trace::json::{parse, Value};
+use greencell_stochastic::{MarkovOnOff, Rng};
+use greencell_trace::json::Value;
 use greencell_units::{Energy, Packets};
-use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -62,89 +63,6 @@ pub const SNAPSHOT_FORMAT: &str = "greencell-snapshot";
 /// association, transfer totals); version-1 files are rejected with a
 /// typed [`SimError::SnapshotVersionMismatch`], never silently zeroed.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// FNV-1a 64-bit over `bytes` — the workspace's dependency-free content
-/// checksum (snapshots, checkpoints, state fingerprints).
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Fingerprint of a value via its `Debug` form. Rust's `f64` Debug
-/// formatting is shortest-roundtrip, so equal fingerprints mean equal
-/// values for the plain-old-data types this is used on (scenarios, fault
-/// plans).
-pub(crate) fn fingerprint_debug<T: Debug>(value: &T) -> u64 {
-    fnv1a_64(format!("{value:?}").as_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Exact-value JSON encoding: u64 and f64 as "0x%016x" hex strings.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn hex_u64(x: u64) -> String {
-    format!("\"0x{x:016x}\"")
-}
-
-pub(crate) fn hex_f64(x: f64) -> String {
-    hex_u64(x.to_bits())
-}
-
-pub(crate) fn hex_u64_list<I: IntoIterator<Item = u64>>(xs: I) -> String {
-    let body: Vec<String> = xs.into_iter().map(hex_u64).collect();
-    format!("[{}]", body.join(","))
-}
-
-pub(crate) fn hex_f64_list(xs: &[f64]) -> String {
-    hex_u64_list(xs.iter().map(|x| x.to_bits()))
-}
-
-pub(crate) fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key `{key}`"))
-}
-
-pub(crate) fn arr(v: &Value) -> Result<&[Value], String> {
-    v.as_array().ok_or_else(|| "expected an array".to_string())
-}
-
-pub(crate) fn u64_of(v: &Value) -> Result<u64, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| "expected a \"0x…\" hex string".to_string())?;
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("expected a 0x prefix, got `{s}`"))?;
-    u64::from_str_radix(digits, 16).map_err(|e| format!("bad hex `{s}`: {e}"))
-}
-
-pub(crate) fn f64_of(v: &Value) -> Result<f64, String> {
-    Ok(f64::from_bits(u64_of(v)?))
-}
-
-pub(crate) fn usize_of(v: &Value) -> Result<usize, String> {
-    usize::try_from(u64_of(v)?).map_err(|e| format!("count overflows usize: {e}"))
-}
-
-pub(crate) fn bool_of(v: &Value) -> Result<bool, String> {
-    v.as_bool().ok_or_else(|| "expected a bool".to_string())
-}
-
-pub(crate) fn u64_list_of(v: &Value) -> Result<Vec<u64>, String> {
-    arr(v)?.iter().map(u64_of).collect()
-}
-
-pub(crate) fn f64_list_of(v: &Value) -> Result<Vec<f64>, String> {
-    arr(v)?.iter().map(f64_of).collect()
-}
-
-pub(crate) fn series_of(v: &Value) -> Result<Series, String> {
-    Ok(f64_list_of(v)?.into_iter().collect())
-}
 
 fn rng_state_of(v: &Value) -> Result<[u64; 4], String> {
     let words = u64_list_of(v)?;
@@ -533,11 +451,7 @@ impl SimSnapshot {
     /// The complete two-line file image (header + checksummed payload).
     #[must_use]
     pub fn to_file_string(&self) -> String {
-        let payload = self.payload_json();
-        let checksum = fnv1a_64(payload.as_bytes());
-        format!(
-            "{{\"format\":\"{SNAPSHOT_FORMAT}\",\"version\":{SNAPSHOT_VERSION},\"checksum\":\"0x{checksum:016x}\"}}\n{payload}\n"
-        )
+        crate::codec::wrap(SNAPSHOT_FORMAT, SNAPSHOT_VERSION, &self.payload_json())
     }
 
     /// Parses a snapshot file image, verifying format, version, and
@@ -550,56 +464,8 @@ impl SimSnapshot {
     /// every other validation failure (torn file, bad checksum, malformed
     /// payload).
     pub fn parse_str(text: &str, path: &str) -> Result<Self, SimError> {
-        let corrupt = |detail: String| SimError::CorruptSnapshot {
-            path: path.to_string(),
-            detail,
-        };
-        let (header_line, rest) = text
-            .split_once('\n')
-            .ok_or_else(|| corrupt("missing payload line".to_string()))?;
-        let payload = rest.strip_suffix('\n').unwrap_or(rest);
-        if payload.contains('\n') {
-            return Err(corrupt("more than two lines".to_string()));
-        }
-        let header = parse(header_line).map_err(|e| corrupt(format!("unparseable header: {e}")))?;
-        let format = header
-            .get("format")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt("header has no format tag".to_string()))?;
-        if format != SNAPSHOT_FORMAT {
-            return Err(corrupt(format!(
-                "format is `{format}`, expected `{SNAPSHOT_FORMAT}`"
-            )));
-        }
-        let version = header
-            .get("version")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| corrupt("header has no version".to_string()))?;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let version = if version.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&version) {
-            version as u32
-        } else {
-            return Err(corrupt(format!("version `{version}` is not a u32")));
-        };
-        if version != SNAPSHOT_VERSION {
-            return Err(SimError::SnapshotVersionMismatch {
-                path: path.to_string(),
-                expected: SNAPSHOT_VERSION,
-                found: version,
-            });
-        }
-        let declared = header
-            .get("checksum")
-            .ok_or_else(|| corrupt("header has no checksum".to_string()))
-            .and_then(|v| u64_of(v).map_err(|e| corrupt(format!("bad checksum field: {e}"))))?;
-        let actual = fnv1a_64(payload.as_bytes());
-        if declared != actual {
-            return Err(corrupt(format!(
-                "checksum mismatch: header declares 0x{declared:016x}, payload hashes to 0x{actual:016x}"
-            )));
-        }
-        let value = parse(payload).map_err(|e| corrupt(format!("unparseable payload: {e}")))?;
-        let mut snap = Self::from_payload(&value).map_err(corrupt)?;
+        let value = crate::codec::unwrap(SNAPSHOT_FORMAT, SNAPSHOT_VERSION, text, path)?;
+        let mut snap = Self::from_payload(&value).map_err(crate::codec::corrupt(path))?;
         snap.origin = path.to_string();
         Ok(snap)
     }
@@ -611,8 +477,7 @@ impl SimSnapshot {
     ///
     /// [`SimError::Io`] on any filesystem failure.
     pub fn write(&self, path: &Path) -> Result<(), SimError> {
-        crate::fsio::write_text_atomic(path, &self.to_file_string())
-            .map_err(|e| SimError::Io(format!("{}: {e}", path.display())))
+        crate::fsio::write_text_atomic(path, &self.to_file_string()).map_err(|e| io_err(path, &e))
     }
 
     /// Reads and validates a snapshot file.
@@ -623,8 +488,7 @@ impl SimSnapshot {
     /// [`SimError::CorruptSnapshot`] / [`SimError::SnapshotVersionMismatch`]
     /// if it fails validation.
     pub fn read(path: &Path) -> Result<Self, SimError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SimError::Io(format!("{}: {e}", path.display())))?;
+        let text = crate::codec::read_image(path).map_err(|e| io_err(path, &e))?;
         Self::parse_str(&text, &path.display().to_string())
     }
 }
@@ -785,24 +649,6 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn hex_roundtrip_is_exact() {
-        for x in [0.0_f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
-            let v = parse(&hex_f64(x)).unwrap();
-            assert_eq!(f64_of(&v).unwrap().to_bits(), x.to_bits());
-        }
-        let v = parse(&hex_u64(u64::MAX)).unwrap();
-        assert_eq!(u64_of(&v).unwrap(), u64::MAX);
-    }
 
     #[test]
     fn snapshot_roundtrips_through_the_file_image() {

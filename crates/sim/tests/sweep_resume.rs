@@ -1,14 +1,15 @@
-//! Resumable-sweep equivalence: a checkpointed sweep that is killed
-//! partway and restarted must produce final reports **byte-identical**
-//! to a never-interrupted sweep — at any interruption point and any
-//! worker count — and a corrupt checkpoint must be quarantined and
-//! recovered from, never trusted and never fatal.
+//! Resumable-sweep equivalence: an in-process sweep over a work dir that
+//! is killed partway and restarted must produce final reports
+//! **byte-identical** to a never-interrupted sweep — at any interruption
+//! point and any thread count — and a corrupt, torn or stale result file
+//! must be quarantined and its point recomputed alone, never trusted and
+//! never fatal.
 
 use greencell_sim::{
-    derive_point_seed, run_sweep, run_sweep_checkpointed, run_sweep_checkpointed_stats, Scenario,
-    SimError, SweepOptions, SweepPoint,
+    derive_point_seed, run_sweep, run_sweep_checkpointed, run_sweep_checkpointed_stats,
+    DistribStats, Scenario, SweepOptions, SweepPoint, SweepReport,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("greencell-resume-{tag}-{}", std::process::id()));
@@ -30,39 +31,57 @@ fn points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Simulates a crash after `completed` points by checkpointing a prefix
-/// sweep, then "restarts" over the full list against the same file.
-fn interrupt_then_resume(completed: usize, resume_threads: usize) {
-    let dir = temp_dir(&format!("k{completed}-t{resume_threads}"));
-    let ckpt = dir.join("sweep.ckpt");
-    let all = points();
+fn result_file(work_dir: &Path, idx: usize) -> PathBuf {
+    work_dir.join("results").join(format!("p{idx}.json"))
+}
 
-    let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
+fn expect_stats(stats: &DistribStats, salvaged: usize, computed: usize, requeued: usize) {
+    let want = DistribStats {
+        salvaged,
+        computed,
+        requeued,
+        ..DistribStats::default()
+    };
+    assert_eq!(*stats, want, "resume stats");
+}
 
-    // The "crashed" invocation: only the first `completed` points ever
-    // ran, each landing in the checkpoint as it finished.
-    run_sweep_checkpointed(&all[..completed], &SweepOptions::serial(), &ckpt)
-        .expect("interrupted sweep");
-
-    let (resumed, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::with_threads(resume_threads), &ckpt)
-            .expect("resumed sweep");
-    assert_eq!(stats.salvaged, completed, "salvage count");
-    assert_eq!(stats.recomputed, all.len() - completed, "recompute count");
-    assert!(stats.quarantined.is_none());
-
-    // The deterministic artifact is byte-identical; the full outcome
-    // set (metrics included) matches point-for-point.
+/// The deterministic artifact is byte-identical and the full outcome set
+/// (metrics included) matches point for point.
+fn assert_matches(resumed: &SweepReport, reference: &SweepReport, context: &str) {
     assert_eq!(
         resumed.stability_json(),
         reference.stability_json(),
-        "stability report diverged (interrupted at {completed}, {resume_threads} threads)"
+        "stability report diverged ({context})"
     );
+    assert_eq!(resumed.outcomes.len(), reference.outcomes.len());
     for (a, b) in resumed.outcomes.iter().zip(&reference.outcomes) {
         assert_eq!(a.label, b.label);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.metrics, b.metrics, "metrics diverged for {}", a.label);
     }
+}
+
+/// Simulates a crash after `completed` points by sweeping a prefix of the
+/// list, then "restarts" over the full list against the same work dir.
+fn interrupt_then_resume(completed: usize, resume_threads: usize) {
+    let dir = temp_dir(&format!("k{completed}-t{resume_threads}"));
+    let all = points();
+    let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
+
+    // The "crashed" invocation: only the first `completed` points ever
+    // ran, each landing in the work dir as it finished.
+    run_sweep_checkpointed(&all[..completed], &SweepOptions::serial(), &dir)
+        .expect("interrupted sweep");
+
+    let (resumed, stats) =
+        run_sweep_checkpointed_stats(&all, &SweepOptions::with_threads(resume_threads), &dir)
+            .expect("resumed sweep");
+    expect_stats(&stats, completed, all.len() - completed, 0);
+    assert_matches(
+        &resumed,
+        &reference,
+        &format!("interrupted at {completed}, {resume_threads} threads"),
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -80,50 +99,82 @@ fn resumed_sweep_is_byte_identical_at_any_worker_count() {
     }
 }
 
-#[test]
-fn corrupt_checkpoint_is_quarantined_and_the_sweep_still_matches() {
-    let dir = temp_dir("corrupt");
-    let ckpt = dir.join("sweep.ckpt");
+/// Damages result file `victim` of a 3-point interrupted sweep with
+/// `damage`, resumes the full sweep, and checks that exactly that file was
+/// quarantined and its point recomputed alongside the never-run ones.
+fn damaged_result_is_quarantined(tag: &str, victim: usize, damage: impl Fn(&[u8]) -> Vec<u8>) {
+    let dir = temp_dir(tag);
     let all = points();
     let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
 
-    run_sweep_checkpointed(&all[..3], &SweepOptions::serial(), &ckpt).expect("interrupted sweep");
-    // Flip a payload byte: the checksum must catch it.
-    let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
-    let payload_start = text.find('\n').expect("two lines") + 1;
-    let mut bytes = text.into_bytes();
-    bytes[payload_start + 60] ^= 0x01;
-    std::fs::write(&ckpt, bytes).expect("corrupt checkpoint");
+    run_sweep_checkpointed(&all[..3], &SweepOptions::serial(), &dir).expect("interrupted sweep");
+    let path = result_file(&dir, victim);
+    let bytes = std::fs::read(&path).expect("read result");
+    let damaged = damage(&bytes);
+    std::fs::write(&path, &damaged).expect("damage result");
 
     let (resumed, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &ckpt).expect("resumed sweep");
-    assert_eq!(stats.salvaged, 0);
-    assert_eq!(stats.recomputed, all.len());
-    let quarantine = stats.quarantined.expect("quarantine path");
-    assert!(quarantine.ends_with("sweep.ckpt.corrupt"));
-    assert!(quarantine.exists());
-    assert!(matches!(
-        stats.quarantine_error,
-        Some(SimError::CorruptSnapshot { .. })
-    ));
-    assert_eq!(resumed.stability_json(), reference.stability_json());
+        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("resumed sweep");
+    expect_stats(&stats, 2, all.len() - 2, 1);
+    let quarantine = dir.join("results").join(format!("p{victim}.json.corrupt"));
+    assert_eq!(
+        std::fs::read(&quarantine).expect("quarantined file kept"),
+        damaged,
+        "the quarantined file is the damaged one, untouched"
+    );
+    assert_matches(&resumed, &reference, tag);
+    // The recomputed result replaced it and salvages on the next run.
+    let (_, again) =
+        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("third sweep");
+    expect_stats(&again, all.len(), 0, 0);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
-fn finished_checkpoint_resumes_to_identical_reports_without_rerunning() {
+fn bit_flipped_result_is_quarantined_and_recomputed_alone() {
+    // Flip a payload byte: the checksum must catch it.
+    damaged_result_is_quarantined("bitflip", 1, |bytes| {
+        let payload_start = bytes.iter().position(|&b| b == b'\n').expect("two lines") + 1;
+        let mut out = bytes.to_vec();
+        out[payload_start + 60] ^= 0x01;
+        out
+    });
+}
+
+#[test]
+fn torn_result_is_quarantined_not_fatal() {
+    damaged_result_is_quarantined("torn", 2, |bytes| bytes[..bytes.len() / 2].to_vec());
+}
+
+#[test]
+fn finished_work_dir_resumes_to_identical_reports_without_rerunning() {
     let dir = temp_dir("finished");
-    let ckpt = dir.join("sweep.ckpt");
     let all = points();
     let first =
-        run_sweep_checkpointed(&all, &SweepOptions::with_threads(3), &ckpt).expect("first sweep");
+        run_sweep_checkpointed(&all, &SweepOptions::with_threads(3), &dir).expect("first sweep");
     let (second, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &ckpt).expect("second sweep");
-    assert_eq!(stats.recomputed, 0);
-    assert_eq!(stats.salvaged, all.len());
+        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("second sweep");
+    expect_stats(&stats, all.len(), 0, 0);
     // Everything per-point — metrics *and* wall-clock telemetry — is the
     // persisted original, reproduced exactly. (The report-level wall time
     // and thread count describe *this* invocation and rightly differ.)
     assert_eq!(second.outcomes, first.outcomes);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn edited_point_is_recomputed_alone() {
+    let dir = temp_dir("edited");
+    let mut all = points();
+    run_sweep_checkpointed(&all, &SweepOptions::serial(), &dir).expect("first sweep");
+    // Edit one point's scenario: its stored result belongs to a different
+    // sweep now, so it is quarantined and recomputed; the rest salvage.
+    all[1].scenario.horizon += 5;
+    let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
+    let (resumed, stats) =
+        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("second sweep");
+    expect_stats(&stats, all.len() - 1, 1, 1);
+    assert!(dir.join("results").join("p1.json.corrupt").exists());
+    assert_matches(&resumed, &reference, "edited point");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

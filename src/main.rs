@@ -194,6 +194,17 @@ fn run_once(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(bound) = metrics.lower_bound() {
         println!("lower bound ψ̄ − B/V:  {bound:.3e}");
     }
+    let watchdog = sim.watchdog().report();
+    println!(
+        "watchdog:             {} slots, trailing slope {:+.3e} packets/slot, {}",
+        watchdog.slots,
+        watchdog.trailing_slope,
+        if watchdog.stable {
+            "stable"
+        } else {
+            "divergent"
+        }
+    );
     if metrics.shed() > 0 {
         println!("WARNING: {} transmissions shed", metrics.shed());
     }
