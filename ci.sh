@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus style/lint checks. Run from the repo root.
 #
-# The workspace builds fully offline: the only non-crates.io dependencies
-# are the vendored std-only `proptest`/`criterion` shims under vendor/.
+# The workspace builds fully offline: the only non-crates.io dependency is
+# the vendored std-only `proptest` shim under vendor/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -134,10 +134,15 @@ cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
 
 echo "== serve smoke gate =="
-# End-to-end service posture through the release binary: pipe a short
-# observation feed (including a malformed line) through `greencell serve`
-# twice against the same state dir; the second session must restore from
-# the snapshot the first one wrote.
+# Fuzzed observation lines (truncated, characters flipped or inserted,
+# fields dropped or repeated, arrays of the wrong length, edge-value
+# numbers, bytes that are not UTF-8) must each come out as one reject
+# event or one stepped slot, never a panic. Then end-to-end service
+# posture through the release binary: pipe a short observation feed
+# (including a malformed line) through `greencell serve` twice against
+# the same state dir; the second session must restore from the snapshot
+# the first one wrote.
+cargo test -p greencell-sim --test serve_fuzz -q $CARGO_FLAGS
 SERVE_DIR=$(mktemp -d)
 printf '%s\n' \
   '{"renewable_w":[2.0,1.0,0.0,3.0,1.0],"grid":[true,true,false,true,true],"demand":[2,1]}' \
@@ -158,15 +163,6 @@ grep -q '"event":"start","slot":2,"restored":true' "$SERVE_DIR/events2.jsonl"
 rm -rf "$SERVE_DIR"
 echo "serve smoke: restore-on-startup verified"
 
-echo "== criterion benches compile =="
-cargo bench --workspace --no-run -q $CARGO_FLAGS
-
-echo "== city_scale bench smoke (n = 10^2) =="
-# Run the smallest city tier end-to-end so the scaling bench can never
-# silently bit-rot; the full n ∈ {10^2..10^4} sweep (and the 10^5 XL tier)
-# stays a manual `cargo bench --bench city_scale` run.
-CITY_SCALE_SMOKE=1 cargo bench -p greencell-bench --bench city_scale -q $CARGO_FLAGS
-
 echo "== frontier run-smoke (release binary) =="
 # One-command frontier map on the tiny scenario through the release
 # binary, evaluated by 2 worker processes (the sweep_worker sibling built
@@ -181,12 +177,39 @@ grep -q '"converged": true' "$FRONTIER_DIR/frontier.json"
 rm -rf "$FRONTIER_DIR"
 echo "frontier smoke: converged map written"
 
+echo "== figure regeneration gate (release binary) =="
+# The committed results/ are what `greencell` prints and writes today:
+# regenerate every figure, the structural sweeps and the fault sweep into
+# a scratch dir and byte-compare stdout and every CSV/JSON. Telemetry
+# files hold wall-clock times and are not compared.
+FIG_DIR=$(mktemp -d)
+GC=./target/release/greencell
+for fig in fig2a fig2bc fig2de fig2f; do
+  "$GC" "$fig" --out "$FIG_DIR" > "$FIG_DIR/$fig.txt"
+  cmp "$FIG_DIR/$fig.txt" "results/$fig.txt"
+done
+for csv in fig2a fig2b fig2c fig2d fig2e; do
+  cmp "$FIG_DIR/$csv.csv" "results/$csv.csv"
+done
+"$GC" sweeps --horizon 60 > "$FIG_DIR/sweeps.txt"
+cmp "$FIG_DIR/sweeps.txt" results/sweeps.txt
+# Exits 2 if any fault scenario's watchdog verdict is divergent.
+"$GC" fault-sweep --out "$FIG_DIR" >/dev/null
+cmp "$FIG_DIR/fault_sweep_stability.json" results/fault_sweep_stability.json
+rm -rf "$FIG_DIR"
+echo "figure gate: results/ reproduced byte for byte"
+
 echo "== trace determinism gate =="
-# Short paper-scenario traced run. --check re-parses the chrome-trace JSON
-# with the workspace's strict parser and byte-compares the deterministic
-# trace section across 1 vs 4 workers.
-cargo run --release -q -p greencell-sim --bin trace_run $CARGO_FLAGS -- \
-  --horizon 20 --workers 4 --check --out results >/dev/null
+# Short paper-scenario traced run. `greencell trace` re-parses the
+# chrome-trace JSON with the workspace's strict parser and byte-compares
+# the deterministic trace section across 1 vs 4 workers (non-zero exit on
+# any difference); the deterministic dump and the time-series CSV must
+# also match the committed ones. The chrome trace holds wall-clock times.
+TRACE_DIR=$(mktemp -d)
+"$GC" trace --horizon 20 --out "$TRACE_DIR" >/dev/null
+cmp "$TRACE_DIR/trace_paper_deterministic.json" results/trace_paper_deterministic.json
+cmp "$TRACE_DIR/trace_paper_timeseries.csv" results/trace_paper_timeseries.csv
+rm -rf "$TRACE_DIR"
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q $CARGO_FLAGS

@@ -397,6 +397,70 @@ impl Scenario {
         1 + self.random_bands.len()
     }
 
+    /// Whether the controller can bill a slot at price `multiplier` under
+    /// this scenario's `V`, cost `f` and grid limits — the one range check
+    /// the command line and the serve boundary share.
+    ///
+    /// S4 brackets the base stations' equilibrium price in
+    /// `[V·m·f'(0), V·m·f'(P_ub) + 1]`, `P_ub` being every base station's
+    /// grid limit summed. The bracket's top must stay finite, with a
+    /// factor of two of headroom for rounding in the kernel's own sum.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason when `V` or `multiplier` is negative or not
+    /// finite, or the bracket would overflow.
+    pub fn check_price(&self, multiplier: f64) -> Result<(), String> {
+        if !(self.v.is_finite() && self.v >= 0.0) {
+            return Err(format!(
+                "V must be a finite non-negative number, got {}",
+                self.v
+            ));
+        }
+        if !(multiplier.is_finite() && multiplier >= 0.0) {
+            return Err(format!(
+                "price multiplier must be a finite non-negative number, got {multiplier}"
+            ));
+        }
+        let (a, b, _) = self.cost;
+        let p_ub = self.grid_limit.as_kilowatt_hours() * self.bs_positions.len() as f64;
+        let top = self.v * multiplier * (2.0 * a * p_ub + b) + 1.0;
+        if top.is_finite() && top <= f64::MAX / 2.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "price multiplier {multiplier:e} at V = {:e} overflows the energy stage's \
+                 price bracket",
+                self.v
+            ))
+        }
+    }
+
+    /// [`Scenario::check_price`] over the multipliers this scenario's own
+    /// slots can carry: flat, the tariff's peak, and each of those times
+    /// every fault price spike at once.
+    ///
+    /// # Errors
+    ///
+    /// The first failing multiplier's reason.
+    pub fn check_tariff(&self) -> Result<(), String> {
+        let peak = match self.pricing {
+            TouPricing::Flat => 1.0,
+            TouPricing::Periodic {
+                peak_multiplier, ..
+            } => peak_multiplier,
+        };
+        let spikes: f64 = self
+            .faults
+            .iter()
+            .flat_map(|f| &f.price_spikes)
+            .map(|spike| spike.multiplier)
+            .product();
+        [1.0, peak, spikes, peak * spikes]
+            .into_iter()
+            .try_for_each(|m| self.check_price(m))
+    }
+
     /// A hard upper bound on any band's bandwidth (for the controller's
     /// `w_max`).
     #[must_use]
@@ -819,6 +883,47 @@ impl ScenarioLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn price_range_follows_v_cost_and_grid_limits() {
+        let tiny = Scenario::tiny(1);
+        // One BS: the bracket top is V·m·(2·0.8·0.2 + 0.2) + 1.
+        assert!(tiny.check_price(1.0).is_ok());
+        assert!(tiny.check_price(0.0).is_ok());
+        assert!(tiny.check_price(1e303).is_ok());
+        assert!(tiny.check_price(1e305).is_err());
+        assert!(tiny.check_price(-1.0).is_err());
+        assert!(tiny.check_price(f64::NAN).is_err());
+        // Two BSs double P_ub, so the same price overflows sooner.
+        assert!(Scenario::paper(1).check_price(1.5e303).is_err());
+        let mut s = Scenario::tiny(1);
+        s.v = f64::INFINITY;
+        assert!(s.check_price(1.0).is_err());
+        s.v = -1.0;
+        assert!(s.check_price(1.0).is_err());
+        s.v = 0.0;
+        assert!(s.check_price(1e305).is_ok(), "V = 0 bills nothing");
+    }
+
+    #[test]
+    fn scenario_prices_cover_the_tariff_peak_and_fault_spikes() {
+        let mut s = Scenario::paper(1);
+        assert!(s.check_tariff().is_ok());
+        s.pricing = TouPricing::Periodic {
+            period_slots: 12,
+            peak_slots: 6,
+            peak_multiplier: 5e302,
+        };
+        assert!(s.check_tariff().is_ok());
+        s.faults = Some(crate::faults::FaultSpec::price_spike(1, 2, 6.0));
+        assert!(s.check_tariff().is_err(), "peak × spike overflows");
+        s.pricing = TouPricing::Periodic {
+            period_slots: 12,
+            peak_slots: 6,
+            peak_multiplier: -1.0,
+        };
+        assert!(s.check_tariff().is_err());
+    }
 
     #[test]
     fn paper_parameters_match_section_vi() {

@@ -221,10 +221,10 @@ fn observation_of(
     let price_multiplier = match v.get("price") {
         Some(p) => p
             .as_f64()
-            .filter(|x| x.is_finite() && *x >= 0.0)
-            .ok_or_else(|| "price must be a finite non-negative number".to_string())?,
+            .ok_or_else(|| "price must be a number".to_string())?,
         None => scenario.pricing.multiplier(slot_index),
     };
+    scenario.check_price(price_multiplier)?;
     let node_available = match v.get("available") {
         Some(a) => bool_list(a, "available", nodes)?,
         None => Vec::new(),
@@ -389,10 +389,11 @@ pub fn run_serve<R: BufRead, W: Write>(
         )
     };
 
-    'lines: for (line_no, line) in input.lines().enumerate() {
+    // Lines are split as bytes so that one that is not UTF-8 is rejected
+    // like any other malformed line rather than ending the session.
+    'lines: for (line_no, line) in input.split(b'\n').enumerate() {
         let line = line.map_err(|e| io_err(&e))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.trim_ascii().is_empty() {
             continue;
         }
         let reject = |reason: &str, out: &mut W, summary: &mut ServeSummary| {
@@ -406,10 +407,13 @@ pub fn run_serve<R: BufRead, W: Write>(
                 ),
             )
         };
-        let value = match parse(trimmed) {
+        let value = match std::str::from_utf8(&line)
+            .map_err(|e| format!("line is not UTF-8: {e}"))
+            .and_then(|text| parse(text.trim()).map_err(|e| format!("unparseable JSON: {e}")))
+        {
             Ok(v) => v,
-            Err(e) => {
-                reject(&format!("unparseable JSON: {e}"), output, &mut summary)?;
+            Err(reason) => {
+                reject(&reason, output, &mut summary)?;
                 if summary.rejected_lines > config.error_budget {
                     summary.stop_reason = StopReason::ErrorBudgetExhausted;
                     break 'lines;

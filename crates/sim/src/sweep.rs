@@ -579,17 +579,18 @@ impl SweepReport {
     }
 }
 
-/// Writes a report's telemetry to `results/<stem>_telemetry.json` and
-/// `results/<stem>_telemetry.csv`, returning the two paths.
+/// Writes a report's telemetry to `<dir>/<stem>_telemetry.json` and
+/// `<dir>/<stem>_telemetry.csv`, returning the two paths.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Io`] on I/O failure.
 pub fn write_telemetry(
     report: &SweepReport,
+    dir: impl AsRef<Path>,
     stem: &str,
 ) -> Result<(std::path::PathBuf, std::path::PathBuf), SimError> {
-    let dir = Path::new("results");
+    let dir = dir.as_ref();
     let json = dir.join(format!("{stem}_telemetry.json"));
     let csv = dir.join(format!("{stem}_telemetry.csv"));
     report.write_json(&json)?;

@@ -9,11 +9,11 @@
 //!
 //! This test pins that promise against golden fingerprints recorded from
 //! the pre-kernel controller (commit `f5da312`) on the seed scenarios and
-//! the four `fault_sweep` fault scenarios, for both S1 schedulers. The
-//! fingerprint is the `Debug` rendering of every run's full metric series
-//! (per-slot cost, grid draw, backlogs, admissions, routing, scheduling,
-//! Lyapunov values — everything decision-derived), which round-trips
-//! `f64` bit patterns exactly.
+//! the four `greencell fault-sweep` fault scenarios, for both S1
+//! schedulers. The fingerprint is the `Debug` rendering of every run's
+//! full metric series (per-slot cost, grid draw, backlogs, admissions,
+//! routing, scheduling, Lyapunov values — everything decision-derived),
+//! which round-trips `f64` bit patterns exactly.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -29,7 +29,7 @@ use std::path::PathBuf;
 const GOLDEN: &str = "golden/s1_kernel_ab.fp";
 
 /// The pinned scenario battery: tiny + paper seeds under both schedulers,
-/// plus the four fault scenarios of `fault_sweep` (horizons trimmed so the
+/// plus the four fault scenarios of `greencell fault-sweep` (horizons trimmed so the
 /// whole gate stays fast; the trimmed prefix of a longer run is the same
 /// sample path, so nothing is lost by pinning the prefix).
 fn points() -> Vec<SweepPoint> {

@@ -14,6 +14,9 @@ pub struct Command {
     pub action: Action,
     /// The fully-resolved scenario after applying every flag.
     pub scenario: Scenario,
+    /// The base scenario the flags edited: `paper`, `tiny` or `city`
+    /// (`trace` names its files after it).
+    pub preset: &'static str,
     /// Lyapunov-weight sweep for the figure actions (defaults per figure).
     pub v_values: Option<Vec<f64>>,
     /// Output directory for CSV artifacts, if requested.
@@ -41,6 +44,9 @@ pub enum Action {
     Fig2f,
     /// Structural sweeps + replication.
     Sweeps,
+    /// Robustness sweep: a fault-free baseline plus four fault scenarios,
+    /// with watchdog verdicts.
+    FaultSweep,
     /// Traced run: chrome-trace export + stage-latency histograms.
     Trace,
     /// Long-running service: observations on stdin, events on stdout,
@@ -166,9 +172,16 @@ ACTIONS:
     fig2de   energy buffers              (paper Fig. 2(d)/(e))
     fig2f    architecture comparison     (paper Fig. 2(f))
     sweeps   structural sweeps + multi-seed replication
-    trace    run with per-slot tracing on; writes a Perfetto-loadable
-             chrome trace, a deterministic event dump, and a Fig. 2
-             time-series CSV (default under results/), then prints the
+    fault-sweep
+             the scenario fault-free and under four faults (BS outage,
+             renewable drought, price spike, band loss) with watchdog
+             verdicts; --out writes fault_sweep_stability.json; exits 2
+             if any run diverges
+    trace    traces the seed and seed + 1 with per-slot tracing on,
+             checks the deterministic trace section is byte-identical at
+             1 and 4 workers, writes trace_<paper|tiny|city>.json
+             (Perfetto-loadable), _deterministic.json and
+             _timeseries.csv (default under results/), then prints the
              stage-latency histogram summary
     serve    long-running service: JSON observation lines on stdin, JSON
              event lines (status gauges, watchdog verdicts, snapshot
@@ -204,7 +217,8 @@ FLAGS (all optional):
                         stations power down, users re-associate   [off]
     --energy-coop       inter-BS energy cooperation: surplus renewable
                         offsets other BSs' grid draw (lossy)      [off]
-    --out DIR           also write CSV artifacts to DIR
+    --out DIR           also write CSV artifacts and sweep telemetry
+                        (<action>_telemetry.json/.csv) to DIR
 
 SERVE FLAGS:
     --state-dir DIR     snapshot directory (enables crash recovery)
@@ -228,6 +242,18 @@ fn parse_flag_value<T: std::str::FromStr>(key: &str, value: Option<&str>) -> Res
         .map_err(|_| ParseError(format!("invalid value for {key}: {raw}")))
 }
 
+/// Parses a real-valued flag that must be finite and non-negative.
+fn parse_non_negative(key: &str, value: &str) -> Result<f64, ParseError> {
+    let x: f64 = parse_flag_value(key, Some(value))?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(ParseError(format!(
+            "invalid value for {key}: {value} (must be a finite non-negative number)"
+        )))
+    }
+}
+
 /// Parses an argument list (without the program name).
 ///
 /// # Errors
@@ -244,6 +270,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         Some("fig2de") => Action::Fig2de,
         Some("fig2f") => Action::Fig2f,
         Some("sweeps") => Action::Sweeps,
+        Some("fault-sweep") => Action::FaultSweep,
         Some("trace") => Action::Trace,
         Some("serve") => Action::Serve,
         Some("frontier") => Action::Frontier,
@@ -336,7 +363,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
     }
 
-    let mut scenario = match city {
+    let (preset, mut scenario) = match city {
         Some(users) => {
             if tiny {
                 return Err(ParseError(
@@ -344,10 +371,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 ));
             }
             let n_bs = (users / 50).max(2);
-            Scenario::city(users, n_bs, Scenario::default_city_area(n_bs), seed)
+            let area = Scenario::default_city_area(n_bs);
+            ("city", Scenario::city(users, n_bs, area, seed))
         }
-        None if tiny => Scenario::tiny(seed),
-        None => Scenario::paper(seed),
+        None if tiny => ("tiny", Scenario::tiny(seed)),
+        None => ("paper", Scenario::paper(seed)),
     };
     scenario.track_lower_bound = track_lower;
     for (key, value) in &scenario_edits {
@@ -368,10 +396,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     if energy_coop {
         scenario.energy_coop = Some(scenario.default_coop_policy());
     }
+    scenario.check_tariff().map_err(ParseError)?;
 
     Ok(Command {
         action,
         scenario,
+        preset,
         v_values,
         out_dir,
         serve,
@@ -383,8 +413,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 fn apply_edit(s: &mut Scenario, key: &str, value: &str) -> Result<(), ParseError> {
     match key {
         "--horizon" => s.horizon = parse_flag_value(key, Some(value))?,
-        "--v" => s.v = parse_flag_value(key, Some(value))?,
-        "--lambda" => s.lambda = parse_flag_value(key, Some(value))?,
+        "--v" => s.v = parse_non_negative(key, value)?,
+        "--lambda" => s.lambda = parse_non_negative(key, value)?,
         "--users" => s.users = parse_flag_value(key, Some(value))?,
         "--sessions" => s.sessions = parse_flag_value(key, Some(value))?,
         "--scheduler" => {
@@ -421,7 +451,7 @@ fn apply_edit(s: &mut Scenario, key: &str, value: &str) -> Result<(), ParseError
             }
         }
         "--tou" => {
-            let peak: f64 = parse_flag_value(key, Some(value))?;
+            let peak = parse_non_negative(key, value)?;
             s.pricing = TouPricing::Periodic {
                 period_slots: 12,
                 peak_slots: 6,
@@ -466,6 +496,7 @@ mod tests {
             ("fig2de", Action::Fig2de),
             ("fig2f", Action::Fig2f),
             ("sweeps", Action::Sweeps),
+            ("fault-sweep", Action::FaultSweep),
             ("trace", Action::Trace),
         ] {
             assert_eq!(parse(&argv(name)).unwrap().action, action);
@@ -502,6 +533,7 @@ mod tests {
     #[test]
     fn tiny_and_lower_bound() {
         let cmd = parse(&argv("run --tiny --track-lower-bound")).unwrap();
+        assert_eq!(cmd.preset, "tiny");
         assert_eq!(cmd.scenario.users, 4);
         assert!(cmd.scenario.track_lower_bound);
     }
@@ -509,6 +541,7 @@ mod tests {
     #[test]
     fn city_and_fault_presets() {
         let cmd = parse(&argv("run --city 200 --horizon 40 --faults chaos")).unwrap();
+        assert_eq!(cmd.preset, "city");
         assert_eq!(cmd.scenario.users, 200);
         assert!(cmd.scenario.bs_positions.len() >= 2);
         let faults = cmd.scenario.faults.as_ref().expect("preset applied");

@@ -39,9 +39,10 @@
 //!
 //! See `examples/` for runnable binaries (quickstart, the full paper
 //! scenario, the architecture comparison, a stability study, bursty
-//! traffic, and time-of-use pricing), the `greencell` CLI ([`cli`]) for
-//! the all-in-one interface, and the `fig2a`/`fig2bc`/`fig2de`/`fig2f`
-//! binaries in `greencell-sim` for the figure-by-figure reproduction.
+//! traffic, and time-of-use pricing), and the `greencell` CLI ([`cli`]):
+//! one binary for single runs, the figure-by-figure reproduction
+//! (`greencell fig2a`/`fig2bc`/`fig2de`/`fig2f`, which regenerate the
+//! committed `results/`), sweeps, tracing, serving and frontier search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
